@@ -135,6 +135,14 @@ RaceSamples ParallelForecastEngine::delegate_forecast(
 RaceSamples ParallelForecastEngine::forecast(const telemetry::RaceLog& race,
                                              int origin_lap, int horizon,
                                              int num_samples, util::Rng& rng) {
+  return forecast(race, origin_lap, horizon, num_samples, rng, nullptr);
+}
+
+RaceSamples ParallelForecastEngine::forecast(const telemetry::RaceLog& race,
+                                             int origin_lap, int horizon,
+                                             int num_samples, util::Rng& rng,
+                                             bool* cache_hit) {
+  if (cache_hit != nullptr) *cache_hit = false;
   if (partitioned_ == nullptr) {
     // Not partitionable: plain delegation on the calling thread, consuming
     // the caller's generator exactly as the wrapped forecaster would.
@@ -147,12 +155,14 @@ RaceSamples ParallelForecastEngine::forecast(const telemetry::RaceLog& race,
   // This is what makes engine output identical to a direct forecast() call
   // — and, because the fallback tiers derive from the same base, what
   // keeps degraded forecasts deterministic too.
-  return forecast_with_base(race, origin_lap, horizon, num_samples, rng());
+  return forecast_with_base(race, origin_lap, horizon, num_samples, rng(),
+                            cache_hit);
 }
 
 RaceSamples ParallelForecastEngine::forecast_with_base(
     const telemetry::RaceLog& race, int origin_lap, int horizon,
-    int num_samples, std::uint64_t base) {
+    int num_samples, std::uint64_t base, bool* cache_hit) {
+  if (cache_hit != nullptr) *cache_hit = false;
   util::Timer wall;
   const auto ws_before = tensor::WorkspaceCounters::instance().snapshot();
   if (partitioned_ == nullptr) {
@@ -180,6 +190,7 @@ RaceSamples ParallelForecastEngine::forecast_with_base(
         num_samples,
         static_cast<int>(tensor::kernels::active_variant())};
     if (auto cached = cache_->get(cache_key)) {
+      if (cache_hit != nullptr) *cache_hit = true;
       prepare_span.stop();
       const double secs = wall.seconds();
       {

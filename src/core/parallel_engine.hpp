@@ -103,6 +103,13 @@ class ParallelForecastEngine : public RaceForecaster {
 
   RaceSamples forecast(const telemetry::RaceLog& race, int origin_lap,
                        int horizon, int num_samples, util::Rng& rng) override;
+  /// forecast() that also reports this call's own cache outcome:
+  /// `*cache_hit` is set true when the bytes came from the forecast cache,
+  /// false otherwise. Unlike the process-wide CacheCounters, it cannot be
+  /// moved by other engines or shards hitting the cache meanwhile.
+  RaceSamples forecast(const telemetry::RaceLog& race, int origin_lap,
+                       int horizon, int num_samples, util::Rng& rng,
+                       bool* cache_hit);
 
   /// Keyed entry point: forecast from an explicit rng stream base instead
   /// of drawing one from a caller generator. For a partitionable wrapped
@@ -116,7 +123,8 @@ class ParallelForecastEngine : public RaceForecaster {
   /// forecast(rng), which hands them the caller's generator).
   RaceSamples forecast_with_base(const telemetry::RaceLog& race,
                                  int origin_lap, int horizon, int num_samples,
-                                 std::uint64_t base);
+                                 std::uint64_t base,
+                                 bool* cache_hit = nullptr);
 
   std::size_t threads() const { return pool_.size(); }
   /// True when the wrapped forecaster supports partitioned fan-out.

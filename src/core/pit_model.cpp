@@ -125,29 +125,31 @@ PitModel::Prediction PitModel::predict(const PitFeatures& f) const {
   return p;
 }
 
-int PitModel::sample(const PitFeatures& f, util::Rng& rng) const {
-  const auto p = predict(f);
-  const double draw = rng.normal(p.mean, p.stddev);
-  return std::max(1, static_cast<int>(std::lround(draw)));
-}
-
 std::vector<double> PitModel::sample_future_lap_status(const PitFeatures& now,
                                                        int horizon,
                                                        util::Rng& rng) const {
   std::vector<double> lap_status(static_cast<std::size_t>(horizon), 0.0);
-  PitFeatures f = now;
+  sample_stints(predict(now), predict(PitFeatures{}), lap_status, rng);
+  return lap_status;
+}
+
+void PitModel::sample_stints(const Prediction& now, const Prediction& fresh,
+                             std::span<double> lap_status, util::Rng& rng) {
+  const int horizon = static_cast<int>(lap_status.size());
+  for (auto& v : lap_status) v = 0.0;
+  const Prediction* p = &now;
   int lap = 0;  // horizon offset (0 = first future lap)
   while (lap < horizon) {
     // The model predicts laps-to-next-pit given the current (caution, age)
-    // features, so the next stop is `to_pit` laps ahead of the current lap.
-    const int to_pit = std::max(1, sample(f, rng));
-    const int pit_offset = lap + to_pit;
+    // features, so the next stop is that many laps (at least one) ahead.
+    const double draw = rng.normal(p->mean, p->stddev);
+    const int pit_offset =
+        lap + std::max(1, static_cast<int>(std::lround(draw)));
     if (pit_offset > horizon) break;
     lap_status[static_cast<std::size_t>(pit_offset - 1)] = 1.0;
     lap = pit_offset;
-    f = PitFeatures{};  // fresh stint: ages reset after the stop
+    p = &fresh;  // fresh stint: ages reset after the stop
   }
-  return lap_status;
 }
 
 PitModel::InferenceSession::InferenceSession(const PitModel& model,
@@ -174,30 +176,6 @@ PitModel::Prediction PitModel::InferenceSession::predict(
   p.mean = model_->scaler_.inverse(mu_(0, 0));
   p.stddev = model_->scaler_.inverse_scale(sigma_(0, 0));
   return p;
-}
-
-int PitModel::InferenceSession::sample(const PitFeatures& f,
-                                       util::Rng& rng) const {
-  const auto p = predict(f);
-  const double draw = rng.normal(p.mean, p.stddev);
-  return std::max(1, static_cast<int>(std::lround(draw)));
-}
-
-void PitModel::InferenceSession::sample_future_into(
-    const PitFeatures& now, std::span<double> lap_status,
-    util::Rng& rng) const {
-  const int horizon = static_cast<int>(lap_status.size());
-  for (auto& v : lap_status) v = 0.0;
-  PitFeatures f = now;
-  int lap = 0;
-  while (lap < horizon) {
-    const int to_pit = std::max(1, sample(f, rng));
-    const int pit_offset = lap + to_pit;
-    if (pit_offset > horizon) break;
-    lap_status[static_cast<std::size_t>(pit_offset - 1)] = 1.0;
-    lap = pit_offset;
-    f = PitFeatures{};
-  }
 }
 
 }  // namespace ranknet::core

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,9 +68,6 @@ class PitModel : public nn::Layer {
   };
   Prediction predict(const PitFeatures& f) const;
 
-  /// Sample laps-to-next-pit (>= 1, rounded).
-  int sample(const PitFeatures& f, util::Rng& rng) const;
-
   /// Sample a full future pit-status vector for the next `horizon` laps,
   /// starting from current features (Algorithm 2 step 1: successive stints
   /// sampled until the horizon is covered; TrackStatus assumed green).
@@ -77,27 +75,28 @@ class PitModel : public nn::Layer {
                                                int horizon,
                                                util::Rng& rng) const;
 
+  /// The stint loop behind sample_future_lap_status, from predictions:
+  /// `now` is the prediction at the current features, `fresh` the one at
+  /// PitFeatures{} (every stint after a stop starts there). Writes 0/1 pit
+  /// flags for the next lap_status.size() laps (zeroed first), one
+  /// rng.normal per stint.
+  static void sample_stints(const Prediction& now, const Prediction& fresh,
+                            std::span<double> lap_status, util::Rng& rng);
+
   std::vector<nn::Parameter*> params() override;
 
   void set_scaler(const features::StandardScaler& s) { scaler_ = s; }
   const features::StandardScaler& scaler() const { return scaler_; }
 
   /// Zero-allocation serving face of the MLP: all scratch comes from `ws`
-  /// at construction, so predict()/sample() allocate nothing. Bit-identical
-  /// to PitModel::predict/sample (same kernels, same draw order). Views
-  /// live until the next ws.begin(); the stint-loop draws are sequential
-  /// and data-dependent, so they are never batched or reordered.
+  /// at construction, so predict() allocates nothing. Bit-identical to
+  /// PitModel::predict (same kernels). Views live until the next
+  /// ws.begin().
   class InferenceSession {
    public:
     InferenceSession(const PitModel& model, tensor::Workspace& ws);
 
     Prediction predict(const PitFeatures& f) const;
-    int sample(const PitFeatures& f, util::Rng& rng) const;
-    /// Writes 0/1 pit flags for the next lap_status.size() laps (the span
-    /// is zeroed first); same draws as sample_future_lap_status.
-    void sample_future_into(const PitFeatures& now,
-                            std::span<double> lap_status,
-                            util::Rng& rng) const;
 
    private:
     const PitModel* model_;

@@ -32,6 +32,33 @@ DecodeMode default_decode_mode() {
   return mode;
 }
 
+namespace {
+
+// (car id, laps) of every car, in id order: what the trace caches compare
+// to notice a race replaced under the same id.
+using RaceShape = std::vector<std::pair<int, std::size_t>>;
+
+RaceShape race_shape(const telemetry::RaceLog& race) {
+  RaceShape shape;
+  shape.reserve(race.cars().size());
+  for (const auto& [car_id, car] : race.cars()) {
+    shape.emplace_back(car_id, car.laps());
+  }
+  return shape;
+}
+
+bool same_shape(const RaceShape& shape, const telemetry::RaceLog& race) {
+  if (shape.size() != race.cars().size()) return false;
+  auto it = shape.begin();
+  for (const auto& [car_id, car] : race.cars()) {
+    if (it->first != car_id || it->second != car.laps()) return false;
+    ++it;
+  }
+  return true;
+}
+
+}  // namespace
+
 RankNetForecaster::RankNetForecaster(
     std::shared_ptr<const LstmSeqModel> model,
     std::shared_ptr<const PitModel> pit_model, features::CarVocab vocab,
@@ -50,10 +77,10 @@ RankNetForecaster::RankNetForecaster(
 
 const RankNetForecaster::RaceCache& RankNetForecaster::race_cache(
     const telemetry::RaceLog& race) {
-  auto it = cache_.find(race.id());
-  if (it != cache_.end()) return it->second;
+  if (const RaceCache* hit = find_cache(race)) return *hit;
 
   RaceCache rc;
+  rc.shape = race_shape(race);
   for (int car_id : race.car_ids()) {
     const auto& car = race.car(car_id);
     if (car.laps() < 3) continue;
@@ -65,7 +92,7 @@ const RankNetForecaster::RaceCache& RankNetForecaster::race_cache(
                              {vocab_.index(car_id)});
     rc.cars.emplace(car_id, std::move(cc));
   }
-  return cache_.emplace(race.id(), std::move(rc)).first->second;
+  return cache_.insert_or_assign(race.id(), std::move(rc)).first->second;
 }
 
 void RankNetForecaster::prepare(const telemetry::RaceLog& race) {
@@ -75,7 +102,9 @@ void RankNetForecaster::prepare(const telemetry::RaceLog& race) {
 const RankNetForecaster::RaceCache* RankNetForecaster::find_cache(
     const telemetry::RaceLog& race) const {
   const auto it = cache_.find(race.id());
-  return it == cache_.end() ? nullptr : &it->second;
+  return it == cache_.end() || !same_shape(it->second.shape, race)
+             ? nullptr
+             : &it->second;
 }
 
 std::vector<int> RankNetForecaster::forecast_cars(
@@ -147,41 +176,53 @@ RaceSamples RankNetForecaster::forecast_partition(
   const auto trace_idx = origin - 2 - static_cast<std::size_t>(tail);
 
   if (source_ == StatusSource::kPitModel) {
-    // Predicted status must cover the horizon plus the shift look-ahead.
-    const auto future_len =
-        h_count + static_cast<std::size_t>(cov_config_.shift);
     // The status realization couples every active car (LeaderPitCount sees
     // the whole field), so it is always drawn over the full car set — a
     // partition holding a subset of cars replays the identical realization.
+    // The sampler keeps only the rows the decoder reads: the tail laps and
+    // the horizon.
     const auto all_cars = forecast_cars(race, origin_lap);
-    // Rank order at the origin, for LeaderPitCount of future laps.
-    std::map<int, double> origin_rank;
-    std::map<int, const features::StatusStreams*> stream_ptrs;
+    std::vector<StatusWindowSampler::Car> field;
+    field.reserve(all_cars.size());
     for (int car_id : all_cars) {
-      origin_rank[car_id] = rc.cars.at(car_id).history[origin - 1];
-      stream_ptrs[car_id] = &rc.cars.at(car_id).streams;
+      const auto& cc = rc.cars.at(car_id);
+      field.push_back({&cc.streams, cc.history[origin - 1]});
     }
+    StatusWindowSampler sampler(field, *pit_model_, cov_config_, origin,
+                                h_count,
+                                origin - static_cast<std::size_t>(tail));
+    // Field index of each partition car (all_cars is ascending).
+    std::vector<std::size_t> field_index(cars.size());
+    for (std::size_t c = 0; c < cars.size(); ++c) {
+      const auto it =
+          std::lower_bound(all_cars.begin(), all_cars.end(), cars[c]);
+      if (it == all_cars.end() || *it != cars[c]) {
+        throw std::out_of_range(
+            "RankNetForecaster: partition car not in the forecast field");
+      }
+      field_index[c] = static_cast<std::size_t>(it - all_cars.begin());
+    }
+    const auto to_vector = [](std::span<const double> r) {
+      return std::vector<double>(r.begin(), r.end());
+    };
     for (std::size_t s = 0; s < s_count; ++s) {
       // One coupled race-status realization across all cars, from a child
       // stream keyed by the sample index alone (k2 = 0 keeps the status
       // keys disjoint from the per-row keys below, which use k2 >= 1).
       util::Rng status_rng = util::Rng::stream(base, s, 0);
-      const auto realization = sample_status_realization(
-          stream_ptrs, origin_rank, *pit_model_, cov_config_, origin,
-          future_len, status_rng);
+      sampler.draw(status_rng);
 
       for (std::size_t c = 0; c < cars.size(); ++c) {
-        const int car_id = cars[c];
-        const auto& cc = rc.cars.at(car_id);
+        const auto& cc = rc.cars.at(cars[c]);
         const std::size_t row = c * s_count + s;
-        const auto& covs = realization.at(car_id);
+        const std::size_t fi = field_index[c];
 
-        car_index[row] = vocab_.index(car_id);
+        car_index[row] = vocab_.index(cars[c]);
         z_prev[row] = {cc.history[origin - 1]};
         auto& fc = future_covs[row];
         fc.resize(h_count);
         for (std::size_t h = 0; h < h_count; ++h) {
-          fc[h] = covs[origin + h];
+          fc[h] = to_vector(sampler.row(fi, origin + h));
         }
         for (int t = 0; t < tail; ++t) {
           // Tail step t replays lap (origin - tail + t): input is
@@ -189,7 +230,8 @@ RaceSamples RankNetForecaster::forecast_partition(
           const auto lap0 =
               origin - static_cast<std::size_t>(tail) + static_cast<std::size_t>(t);
           tail_z[static_cast<std::size_t>(t)][row] = {cc.history[lap0 - 1]};
-          tail_covs[static_cast<std::size_t>(t)][row] = covs[lap0];
+          tail_covs[static_cast<std::size_t>(t)][row] =
+              to_vector(sampler.row(fi, lap0));
         }
       }
     }
@@ -396,9 +438,12 @@ TransformerForecaster::TransformerForecaster(
 
 const TransformerForecaster::RaceCache& TransformerForecaster::race_cache(
     const telemetry::RaceLog& race) {
-  auto it = cache_.find(race.id());
-  if (it != cache_.end()) return it->second;
+  const auto it = cache_.find(race.id());
+  if (it != cache_.end() && same_shape(it->second.shape, race)) {
+    return it->second;
+  }
   RaceCache rc;
+  rc.shape = race_shape(race);
   for (int car_id : race.car_ids()) {
     const auto& car = race.car(car_id);
     if (car.laps() < 3) continue;
@@ -408,7 +453,7 @@ const TransformerForecaster::RaceCache& TransformerForecaster::race_cache(
     cc.covariates = features::build_covariates(cc.streams, cov_config_);
     rc.cars.emplace(car_id, std::move(cc));
   }
-  return cache_.emplace(race.id(), std::move(rc)).first->second;
+  return cache_.insert_or_assign(race.id(), std::move(rc)).first->second;
 }
 
 RaceSamples TransformerForecaster::forecast(const telemetry::RaceLog& race,
@@ -437,45 +482,47 @@ RaceSamples TransformerForecaster::forecast(const telemetry::RaceLog& race,
   std::vector<std::vector<double>> history(rows);
   std::vector<std::vector<std::vector<double>>> covs(rows);
 
-  const auto fill_row = [&](std::size_t row, int car_id,
-                            const std::vector<std::vector<double>>& full_covs,
-                            const std::vector<double>& ranks) {
+  // Per row: the car's embedding index and its observed context ranks.
+  const auto fill_history = [&](std::size_t row, int car_id,
+                                const std::vector<double>& ranks) {
     car_index[row] = vocab_.index(car_id);
     history[row].assign(ranks.begin() + static_cast<std::ptrdiff_t>(first_lap),
                         ranks.begin() + static_cast<std::ptrdiff_t>(origin));
-    auto& cv = covs[row];
-    cv.resize(ctx + h_count);
-    for (std::size_t t = 0; t < ctx + h_count; ++t) {
-      const std::size_t idx = first_lap + t;
-      cv[t] = idx < full_covs.size()
-                  ? full_covs[idx]
-                  : std::vector<double>(cov_config_.dim(), 0.0);
-    }
+    covs[row].resize(ctx + h_count);
   };
 
   if (source_ == StatusSource::kPitModel) {
-    const auto future_len =
-        h_count + static_cast<std::size_t>(cov_config_.shift);
-    std::map<int, double> origin_rank;
-    std::map<int, const features::StatusStreams*> stream_ptrs;
+    std::vector<StatusWindowSampler::Car> field;
+    field.reserve(cars.size());
     for (int car_id : cars) {
-      origin_rank[car_id] = rc.cars.at(car_id).history[origin - 1];
-      stream_ptrs[car_id] = &rc.cars.at(car_id).streams;
+      const auto& cc = rc.cars.at(car_id);
+      field.push_back({&cc.streams, cc.history[origin - 1]});
     }
+    StatusWindowSampler sampler(field, *pit_model_, cov_config_, origin,
+                                h_count, first_lap);
     for (std::size_t s = 0; s < s_count; ++s) {
-      const auto realization = sample_status_realization(
-          stream_ptrs, origin_rank, *pit_model_, cov_config_, origin,
-          future_len, rng);
+      sampler.draw(rng);
       for (std::size_t c = 0; c < cars.size(); ++c) {
-        fill_row(c * s_count + s, cars[c], realization.at(cars[c]),
-                 rc.cars.at(cars[c]).history);
+        const std::size_t row = c * s_count + s;
+        fill_history(row, cars[c], rc.cars.at(cars[c]).history);
+        for (std::size_t t = 0; t < ctx + h_count; ++t) {
+          const auto r = sampler.row(c, first_lap + t);
+          covs[row][t].assign(r.begin(), r.end());
+        }
       }
     }
   } else {
     for (std::size_t c = 0; c < cars.size(); ++c) {
       const auto& cc = rc.cars.at(cars[c]);
       for (std::size_t s = 0; s < s_count; ++s) {
-        fill_row(c * s_count + s, cars[c], cc.covariates, cc.history);
+        const std::size_t row = c * s_count + s;
+        fill_history(row, cars[c], cc.history);
+        for (std::size_t t = 0; t < ctx + h_count; ++t) {
+          const std::size_t idx = first_lap + t;
+          covs[row][t] = idx < cc.covariates.size()
+                             ? cc.covariates[idx]
+                             : std::vector<double>(cov_config_.dim(), 0.0);
+        }
       }
     }
   }

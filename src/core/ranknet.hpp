@@ -21,6 +21,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/ar_model.hpp"
 #include "core/forecaster.hpp"
@@ -94,11 +96,20 @@ class RankNetForecaster : public RaceForecaster,
   };
   struct RaceCache {
     std::map<int, CarCache> cars;
+    /// (car id, laps) of every car of the race the traces were built from.
+    std::vector<std::pair<int, std::size_t>> shape;
   };
 
+  /// Cached traces for `race`, keyed on race.id(). Every lookup compares
+  /// the entry's per-car lap counts with `race` (O(cars)), so a race
+  /// re-sent under the same id with more laps (a live feed growing)
+  /// rebuilds its traces instead of serving the old ones. A replacement
+  /// with identical lap counts but different content is not detected; it
+  /// needs a new id or clear_cache().
   const RaceCache& race_cache(const telemetry::RaceLog& race);
   /// Read-only lookup (no insertion) — the thread-safe path used by
-  /// forecast_partition after prepare() has warmed the cache.
+  /// forecast_partition after prepare() has warmed the cache. Null when
+  /// the entry is missing or stale.
   const RaceCache* find_cache(const telemetry::RaceLog& race) const;
 
   std::shared_ptr<const LstmSeqModel> model_;
@@ -135,7 +146,9 @@ class TransformerForecaster : public RaceForecaster {
   };
   struct RaceCache {
     std::map<int, CarCache> cars;
+    std::vector<std::pair<int, std::size_t>> shape;
   };
+  /// Same staleness rule as RankNetForecaster::race_cache.
   const RaceCache& race_cache(const telemetry::RaceLog& race);
 
   std::shared_ptr<const TransformerSeqModel> model_;

@@ -41,53 +41,56 @@ StatusStreams StatusStreams::from_race(const telemetry::RaceLog& race,
   return s;
 }
 
+void write_covariate_row(const CovariateLap& lap, const AgeCarry& age,
+                         const CovariateConfig& config,
+                         std::span<double> row) {
+  std::size_t i = 0;
+  if (config.race_status) {
+    row[i++] = lap.track_status;
+    row[i++] = lap.lap_status;
+  }
+  if (config.age_features) {
+    row[i++] = age.caution_laps / kCautionLapsScale;
+    row[i++] = age.pit_age / kPitAgeScale;
+  }
+  if (config.context_features) {
+    row[i++] = lap.leader_pit_count / kPitCountScale;
+    row[i++] = lap.total_pit_count / kPitCountScale;
+  }
+  if (config.shift_features) {
+    row[i++] = lap.shift_lap_status;
+    row[i++] = lap.shift_track_status;
+    row[i++] = lap.shift_total_pit_count / kPitCountScale;
+  }
+}
+
 std::vector<std::vector<double>> build_covariates(
     const StatusStreams& streams, const CovariateConfig& config) {
   const std::size_t n = streams.laps();
-  std::vector<std::vector<double>> out(n);
+  std::vector<std::vector<double>> out(n,
+                                       std::vector<double>(config.dim()));
   // Recompute accumulation features from the (possibly predicted) statuses.
-  double caution_since_pit = 0.0;
-  double age = 0.0;
+  AgeCarry age;
   for (std::size_t t = 0; t < n; ++t) {
-    const bool pit = streams.lap_status[t] > 0.5;
-    const bool yellow = streams.track_status[t] > 0.5;
-    if (pit) {
-      caution_since_pit = 0.0;
-      age = 0.0;
-    } else {
-      if (yellow) caution_since_pit += 1.0;
-      age += 1.0;
+    age.advance(streams.lap_status[t], streams.track_status[t]);
+    CovariateLap lap;
+    lap.track_status = streams.track_status[t];
+    lap.lap_status = streams.lap_status[t];
+    if (t < streams.leader_pit_count.size()) {
+      lap.leader_pit_count = streams.leader_pit_count[t];
     }
-    auto& row = out[t];
-    row.reserve(config.dim());
-    if (config.race_status) {
-      row.push_back(streams.track_status[t]);
-      row.push_back(streams.lap_status[t]);
+    if (t < streams.total_pit_count.size()) {
+      lap.total_pit_count = streams.total_pit_count[t];
     }
-    if (config.age_features) {
-      row.push_back(caution_since_pit / kCautionLapsScale);
-      row.push_back(age / kPitAgeScale);
+    const std::size_t ts = t + static_cast<std::size_t>(config.shift);
+    if (ts < n) {
+      lap.shift_lap_status = streams.lap_status[ts];
+      lap.shift_track_status = streams.track_status[ts];
+      if (ts < streams.total_pit_count.size()) {
+        lap.shift_total_pit_count = streams.total_pit_count[ts];
+      }
     }
-    if (config.context_features) {
-      row.push_back(
-          (t < streams.leader_pit_count.size() ? streams.leader_pit_count[t]
-                                               : 0.0) /
-          kPitCountScale);
-      row.push_back(
-          (t < streams.total_pit_count.size() ? streams.total_pit_count[t]
-                                              : 0.0) /
-          kPitCountScale);
-    }
-    if (config.shift_features) {
-      const std::size_t ts = t + static_cast<std::size_t>(config.shift);
-      const bool in_range = ts < n;
-      row.push_back(in_range ? streams.lap_status[ts] : 0.0);
-      row.push_back(in_range ? streams.track_status[ts] : 0.0);
-      row.push_back((in_range && ts < streams.total_pit_count.size()
-                         ? streams.total_pit_count[ts]
-                         : 0.0) /
-                    kPitCountScale);
-    }
+    write_covariate_row(lap, age, config, out[t]);
   }
   return out;
 }

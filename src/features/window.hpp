@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "features/transforms.hpp"
@@ -35,6 +36,42 @@ struct StatusStreams {
   /// Extract ground-truth streams for (race, car).
   static StatusStreams from_race(const telemetry::RaceLog& race, int car_id);
 };
+
+/// Accumulation features carried from lap to lap (paper Table I): caution
+/// laps and laps since the last pit stop. A pit lap resets both.
+struct AgeCarry {
+  double caution_laps = 0.0;
+  double pit_age = 0.0;
+
+  /// Fold in one lap (statuses above 0.5 count as set).
+  void advance(double lap_status, double track_status) {
+    if (lap_status > 0.5) {
+      caution_laps = 0.0;
+      pit_age = 0.0;
+    } else {
+      if (track_status > 0.5) caution_laps += 1.0;
+      pit_age += 1.0;
+    }
+  }
+};
+
+/// The raw inputs of one covariate row at lap t. The shift_* fields hold
+/// lap t + shift and stay zero when that lap is past the streams' end.
+struct CovariateLap {
+  double track_status = 0.0;
+  double lap_status = 0.0;
+  double leader_pit_count = 0.0;
+  double total_pit_count = 0.0;
+  double shift_lap_status = 0.0;
+  double shift_track_status = 0.0;
+  double shift_total_pit_count = 0.0;
+};
+
+/// Writes the config.dim() covariates of one lap into `row`, given the
+/// age carry after that lap. The one place the row layout and scaling
+/// live: build_covariates and the forecast-time status sampler share it.
+void write_covariate_row(const CovariateLap& lap, const AgeCarry& age,
+                         const CovariateConfig& config, std::span<double> row);
 
 /// Assemble the covariate vector for every lap in [0, streams.laps()).
 /// Age features are recomputed from the (possibly predicted) statuses, so

@@ -524,11 +524,13 @@ void ForecastServer::process_group(
     }
 
     const auto deg_before = engine->degradation();
-    const auto hits_before = core::CacheCounters::instance().hits();
+    // The tier comes from this call's own cache outcome: the process-wide
+    // hit counter also moves when another shard hits the cache meanwhile.
+    bool cache_hit = false;
     core::RaceSamples samples;
     try {
       samples = engine->forecast(*entry->race, req.origin_lap, req.horizon,
-                                 req.num_samples, rng);
+                                 req.num_samples, rng, &cache_hit);
     } catch (const std::exception& e) {
       for (auto& item : live) {
         reject(item, Status::failed_precondition(
@@ -537,8 +539,6 @@ void ForecastServer::process_group(
       return;
     }
     const auto deg_after = engine->degradation();
-    const bool cache_hit =
-        core::CacheCounters::instance().hits() > hits_before;
     const auto fallback_delta =
         deg_after.fallback_cars() - deg_before.fallback_cars();
     const auto full_delta = deg_after.full_cars - deg_before.full_cars;

@@ -1,7 +1,8 @@
 // Golden-trajectory regression test.
 //
-// A fixed-seed simulated race is forecast by RankNet (oracle status) and
-// two baselines (CurRank, ARIMA); the per-car median trajectories are
+// A fixed-seed simulated race is forecast by RankNet (oracle status and
+// PitModel-sampled status), the PitModel-source Transformer, and two
+// baselines (CurRank, ARIMA); the per-car median trajectories are
 // compared against CSVs committed under tests/golden/. Any change to the
 // simulator, feature pipeline, model initialization, rng stream layout, or
 // sampling path shows up here as a concrete numeric diff — which is the
@@ -37,15 +38,19 @@ constexpr std::uint64_t kSeed = 2468;
 constexpr int kHorizon = 5;
 constexpr int kNumSamples = 32;
 const std::vector<int> kOrigins{40, 90, 140};
+// PitModel-source goldens add lap 3, where the encoder-tail window clamps
+// (origin - 2 < shift) and the Transformer context starts at lap 1.
+const std::vector<int> kPitModelOrigins{3, 40, 90, 140};
 
 // rows keyed (origin, car_id) -> median predicted rank per horizon lap.
 using Trajectories = std::map<std::pair<int, int>, std::vector<double>>;
 
 Trajectories median_trajectories(core::RaceForecaster& forecaster,
-                                 const telemetry::RaceLog& race) {
+                                 const telemetry::RaceLog& race,
+                                 const std::vector<int>& origins) {
   Trajectories out;
   util::Rng rng(kSeed);
-  for (const int origin : kOrigins) {
+  for (const int origin : origins) {
     const auto ranks = core::sort_to_ranks(
         forecaster.forecast(race, origin, kHorizon, kNumSamples, rng));
     for (const auto& [car_id, m] : ranks) {
@@ -105,8 +110,9 @@ Trajectories read_golden(const std::string& model) {
 
 void check_against_golden(const std::string& model,
                           core::RaceForecaster& forecaster,
-                          const telemetry::RaceLog& race) {
-  const auto actual = median_trajectories(forecaster, race);
+                          const telemetry::RaceLog& race,
+                          const std::vector<int>& origins = kOrigins) {
+  const auto actual = median_trajectories(forecaster, race, origins);
   ASSERT_FALSE(actual.empty());
 
   if (std::getenv("RANKNET_UPDATE_GOLDEN") != nullptr) {
@@ -175,6 +181,47 @@ TEST_F(GoldenRegression, RankNetMedianTrajectories) {
                             features::CovariateConfig{},
                             core::StatusSource::kOracle, "RankNet");
   check_against_golden("ranknet", f, *race_);
+}
+
+// The PitModel source draws a coupled status realization per sample; an
+// untrained MLP with a stint-scale target scaler pits often enough inside
+// h + shift laps that both stint branches of the sampler are exercised.
+std::shared_ptr<core::PitModel> golden_pit_model() {
+  auto pit = std::make_shared<core::PitModel>();
+  pit->set_scaler(features::StandardScaler(15.0, 6.0));
+  return pit;
+}
+
+TEST_F(GoldenRegression, RankNetPitModelMedianTrajectories) {
+  core::SeqModelConfig cfg;
+  cfg.cov_dim = features::CovariateConfig{}.dim();
+  cfg.hidden = 8;
+  cfg.embed_dim = 2;
+  cfg.vocab = vocab_->size();
+  auto model = std::make_shared<core::LstmSeqModel>(cfg);
+  model->set_scaler(features::StandardScaler(17.0, 9.0));
+  core::RankNetForecaster f(model, golden_pit_model(), *vocab_,
+                            features::CovariateConfig{},
+                            core::StatusSource::kPitModel, "RankNet-MLP");
+  check_against_golden("ranknet_pitmodel", f, *race_, kPitModelOrigins);
+}
+
+TEST_F(GoldenRegression, TransformerPitModelMedianTrajectories) {
+  core::TransformerConfig cfg;
+  cfg.cov_dim = features::CovariateConfig{}.dim();
+  cfg.model_dim = 16;
+  cfg.heads = 4;
+  cfg.blocks = 1;
+  cfg.embed_dim = 2;
+  cfg.vocab = vocab_->size();
+  cfg.infer_context = 12;
+  auto model = std::make_shared<core::TransformerSeqModel>(cfg);
+  model->set_scaler(features::StandardScaler(17.0, 9.0));
+  core::TransformerForecaster f(model, golden_pit_model(), *vocab_,
+                                features::CovariateConfig{},
+                                core::StatusSource::kPitModel,
+                                "Transformer-MLP");
+  check_against_golden("transformer_pitmodel", f, *race_, kPitModelOrigins);
 }
 
 TEST_F(GoldenRegression, CurRankMedianTrajectories) {

@@ -8,12 +8,17 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/baselines.hpp"
 #include "core/forecast_cache.hpp"
@@ -60,15 +65,24 @@ class ServeTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete race_;
     race_ = nullptr;
+    for (const auto* path : {&kIdentityArtifact, &kScaledArtifact,
+                             &kNanArtifact}) {
+      std::remove(path->c_str());
+    }
   }
 
   void boot(serve::ServerConfig config, serve::RegistryConfig reg_cfg = {},
-            int partition_delay_us = 0) {
+            int partition_delay_us = 0, serve::ModelFactory factory = {}) {
+    // One socket per process: ctest runs this binary whole (serve_suite)
+    // next to each of its tests on its own, and a server's stop() unlinks
+    // its path, so two processes must never share one.
+    config.socket_path += "." + std::to_string(::getpid());
     reg_cfg.gate.probe_origin_lap = 30;
     reg_cfg.gate.probe_horizon = 5;
     reg_cfg.gate.probe_num_samples = 4;
     registry_ = std::make_unique<serve::ModelRegistry>(
-        affine_factory(partition_delay_us), reg_cfg);
+        factory ? std::move(factory) : affine_factory(partition_delay_us),
+        reg_cfg);
     registry_->set_probe_race(*race_);
     registry_->set_forecast_cache(std::make_shared<core::ForecastCache>(256));
     ASSERT_TRUE(registry_->init(kIdentityArtifact).ok());
@@ -103,11 +117,15 @@ class ServeTest : public ::testing::Test {
     return req;
   }
 
-  static constexpr const char* kIdentityArtifact =
-      "/tmp/ranknet_serve_identity.bin";
-  static constexpr const char* kScaledArtifact =
-      "/tmp/ranknet_serve_scaled.bin";
-  static constexpr const char* kNanArtifact = "/tmp/ranknet_serve_nan.bin";
+  // Per-process, like the sockets: every process of this binary rewrites
+  // them at suite setup, and the writes are not atomic.
+  static std::string tmp_path(const char* name) {
+    return "/tmp/ranknet_serve_" + std::string(name) + "." +
+           std::to_string(::getpid()) + ".bin";
+  }
+  static inline const std::string kIdentityArtifact = tmp_path("identity");
+  static inline const std::string kScaledArtifact = tmp_path("scaled");
+  static inline const std::string kNanArtifact = tmp_path("nan");
 
   static telemetry::RaceLog* race_;
   std::unique_ptr<serve::ModelRegistry> registry_;
@@ -631,7 +649,7 @@ TEST_F(ServeTest, HotSwapPromotesServesNewBitsAndRejectsCorruptCandidate) {
   EXPECT_FALSE(cars_identical(after.value().cars, before.value().cars));
 
   // A corrupt candidate is rejected mid-flight and v2 keeps serving.
-  const std::string corrupt_path = "/tmp/ranknet_serve_corrupt_cand.bin";
+  const std::string corrupt_path = tmp_path("corrupt_cand");
   serve::AffineRankModel::save_artifact(corrupt_path, 5.0, 5.0);
   {
     std::FILE* f = std::fopen(corrupt_path.c_str(), "r+b");
@@ -644,6 +662,7 @@ TEST_F(ServeTest, HotSwapPromotesServesNewBitsAndRejectsCorruptCandidate) {
   ASSERT_TRUE(bad.ok());
   EXPECT_EQ(bad.value().action, wire::SwapAction::kRejected);
   EXPECT_EQ(bad.value().active_version, 2u);
+  std::remove(corrupt_path.c_str());
   auto still = client.forecast(make_request(3, 11));
   ASSERT_TRUE(still.ok());
   EXPECT_EQ(still.value().model_version, 2u);
@@ -846,6 +865,167 @@ TEST_F(ServeTest, AddRaceUnderLoadNeverBlocksOrDropsServing) {
         ("serve.shard." + std::to_string(s) + ".groups").c_str());
   }
   EXPECT_GT(shard_groups, 0u);
+}
+
+// --- tier labels under concurrent shards ----------------------------------
+
+// Test hooks for TierLabelIsThisCallsOwnCacheOutcome, shared between the
+// test body and every model the factory builds.
+struct TierProbe {
+  std::string gated_race;           // the race whose forecast goes partial
+  std::atomic<bool> armed{false};
+  std::atomic<bool> plug_started{false};
+  std::atomic<bool> gated_started{false};
+  std::atomic<std::uint64_t> hits_at_arm{0};
+};
+
+constexpr int kPlugOrigin = 20;
+
+// Polls `done` every millisecond for up to 3 s.
+template <typename Pred>
+void wait_until(Pred done) {
+  const auto limit =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (!done() && std::chrono::steady_clock::now() < limit) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// Affine model with scripted timing once the probe is armed: a forecast at
+// kPlugOrigin on the gated race holds the worker for 150 ms; any other
+// forecast on the gated race blocks in its first partition until some
+// cache hit has been booked, then overruns its deadline; a forecast on any
+// other race holds its prepare() — which runs before the engine's cache
+// lookup — until the gated forecast is inside its partition.
+class ScriptedAffineModel : public serve::AffineRankModel {
+ public:
+  explicit ScriptedAffineModel(std::shared_ptr<TierProbe> probe)
+      : probe_(std::move(probe)) {}
+
+  void prepare(const telemetry::RaceLog& race) override {
+    if (probe_->armed && race.id() != probe_->gated_race) {
+      wait_until([&] { return probe_->gated_started.load(); });
+    }
+  }
+
+  core::RaceSamples forecast_partition(const telemetry::RaceLog& race,
+                                       int origin_lap, int horizon,
+                                       int num_samples, std::uint64_t base,
+                                       std::span<const int> cars) override {
+    if (probe_->armed && race.id() == probe_->gated_race) {
+      if (origin_lap == kPlugOrigin) {
+        if (!probe_->plug_started.exchange(true)) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(150));
+        }
+      } else if (!probe_->gated_started.exchange(true)) {
+        wait_until([&] {
+          return core::CacheCounters::instance().hits() >
+                 probe_->hits_at_arm.load();
+        });
+        // Longer than the gated request's whole deadline: it overruns
+        // however long it queued.
+        std::this_thread::sleep_for(std::chrono::milliseconds(1100));
+      }
+    }
+    return AffineRankModel::forecast_partition(race, origin_lap, horizon,
+                                               num_samples, base, cars);
+  }
+
+ private:
+  std::shared_ptr<TierProbe> probe_;
+};
+
+TEST_F(ServeTest, TierLabelIsThisCallsOwnCacheOutcome) {
+  // Two shards: race X's forecast overruns its deadline (a partial) while
+  // the other shard answers race Y from the forecast cache. The label must
+  // come from X's own call — the process-wide hit counter moved during it,
+  // but X was never a cache hit.
+  auto probe = std::make_shared<TierProbe>();
+  probe->gated_race = race_->id();
+  serve::ModelFactory factory =
+      [probe](const std::string& path)
+      -> util::Result<std::shared_ptr<core::RaceForecaster>> {
+    auto model = std::make_shared<ScriptedAffineModel>(probe);
+    if (auto st = model->load_artifact(path); !st.ok()) return st;
+    return std::shared_ptr<core::RaceForecaster>(std::move(model));
+  };
+  serve::ServerConfig cfg;
+  cfg.socket_path = "/tmp/ranknet_serve_tier_label.sock";
+  serve::RegistryConfig reg_cfg;
+  reg_cfg.shards = 2;
+  boot(cfg, reg_cfg, 0, factory);
+
+  // Race Y: the first candidate routed to the other shard.
+  const auto fleet = registry_->active()->fleet;
+  const auto x_shard = fleet->shard_for(race_->id())->index();
+  std::unique_ptr<telemetry::RaceLog> other;
+  for (int year = 2013; year < 2040 && !other; ++year) {
+    auto candidate =
+        sim::simulate_race({"Pocono", year, 60, sim::Usage::kTest});
+    if (fleet->shard_for(candidate.id())->index() != x_shard) {
+      other = std::make_unique<telemetry::RaceLog>(std::move(candidate));
+    }
+  }
+  ASSERT_NE(other, nullptr);
+  server_->add_race(*other);
+
+  auto y = make_request(1, 7);
+  y.race_id = other->id();
+  y.deadline_us = 2000000;
+  serve::ForecastClient client(client_config());
+  auto warm = client.forecast(y);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_EQ(warm.value().tier, wire::Tier::kFull);
+
+  probe->hits_at_arm = core::CacheCounters::instance().hits();
+  probe->armed = true;
+  auto stream = util::UnixStream::connect(socket_path_, 1.0);
+  ASSERT_TRUE(stream.ok());
+  const auto send = [&](std::initializer_list<const wire::ForecastRequest*>
+                            reqs) {
+    std::vector<std::uint8_t> out;
+    for (const auto* req : reqs) {
+      const auto frame =
+          wire::encode_frame(wire::FrameType::kForecastRequest,
+                             wire::encode_forecast_request(*req));
+      out.insert(out.end(), frame.begin(), frame.end());
+    }
+    return stream.value().send_all(out.data(), out.size(), 2.0);
+  };
+  // The plug holds the worker, so X and Y queue up and share the next
+  // micro-batch: X runs on its shard while Y runs on the other.
+  auto plug = make_request(2, 3);
+  plug.origin_lap = kPlugOrigin;
+  plug.deadline_us = 2000000;
+  ASSERT_TRUE(send({&plug}).ok());
+  wait_until([&] { return probe->plug_started.load(); });
+  ASSERT_TRUE(probe->plug_started.load());
+  auto x = make_request(3, 11);
+  x.deadline_us = 1000000;
+  y.request_id = 4;
+  ASSERT_TRUE(send({&x, &y}).ok());
+
+  std::map<std::uint64_t, wire::ForecastResponse> responses;
+  for (int i = 0; i < 3; ++i) {
+    std::uint8_t header_bytes[wire::kHeaderSize];
+    ASSERT_TRUE(stream.value()
+                    .recv_all(header_bytes, sizeof(header_bytes), 10.0)
+                    .ok());
+    const auto header = wire::decode_header(header_bytes);
+    ASSERT_TRUE(header.ok());
+    std::vector<std::uint8_t> payload(header.value().payload_len);
+    ASSERT_TRUE(
+        stream.value().recv_all(payload.data(), payload.size(), 10.0).ok());
+    auto response = wire::decode_forecast_response(payload);
+    ASSERT_TRUE(response.ok());
+    responses[response.value().request_id] = response.value();
+  }
+  ASSERT_TRUE(probe->gated_started.load()) << "X never reached its partition";
+  EXPECT_EQ(responses.at(4).tier, wire::Tier::kCached);
+  EXPECT_TRUE(cars_identical(responses.at(4).cars, warm.value().cars));
+  EXPECT_EQ(responses.at(3).tier, wire::Tier::kPartial)
+      << "a deadline-partial forecast was labelled by another shard's hit";
+  probe->armed = false;
 }
 
 }  // namespace
