@@ -75,25 +75,34 @@ std::size_t ForecastCache::stripe_of(const ForecastCacheKey& key) const {
 }
 
 std::optional<RaceSamples> ForecastCache::get(const ForecastCacheKey& key) {
+  auto shared = get_shared(key);
+  if (!shared) return std::nullopt;
+  return *shared;  // deep copy out, after the stripe lock is released
+}
+
+std::shared_ptr<const RaceSamples> ForecastCache::get_shared(
+    const ForecastCacheKey& key) {
   Stripe& s = stripe_for(key);
   std::lock_guard<std::mutex> lock(s.mutex);
   const auto it = s.index.find(key);
   if (it == s.index.end()) {
     CacheCounters::instance().record_miss();
-    return std::nullopt;
+    return nullptr;
   }
   s.lru.splice(s.lru.begin(), s.lru, it->second);  // refresh recency
   CacheCounters::instance().record_hit();
-  return it->second->second;  // deep copy out
+  return it->second->second;
 }
 
 void ForecastCache::put(const ForecastCacheKey& key, const RaceSamples& value) {
+  // Deep copy in before taking the stripe lock.
+  auto stored = std::make_shared<const RaceSamples>(value);
   const std::size_t idx = stripe_of(key);
   Stripe& s = *stripes_[idx];
   std::lock_guard<std::mutex> lock(s.mutex);
   const auto it = s.index.find(key);
   if (it != s.index.end()) {
-    it->second->second = value;
+    it->second->second = std::move(stored);
     s.lru.splice(s.lru.begin(), s.lru, it->second);
     return;
   }
@@ -102,7 +111,7 @@ void ForecastCache::put(const ForecastCacheKey& key, const RaceSamples& value) {
     s.lru.pop_back();
     CacheCounters::instance().record_evict();
   }
-  s.lru.emplace_front(key, value);
+  s.lru.emplace_front(key, std::move(stored));
   s.index.emplace(key, s.lru.begin());
   CacheCounters::instance().record_insert();
 }

@@ -167,6 +167,12 @@ class ForecastCache {
   /// returns the exact bytes of the original cold compute); nullopt on
   /// miss. Refreshes the entry's LRU position within its stripe.
   std::optional<RaceSamples> get(const ForecastCacheKey& key);
+  /// get() without the copy: the stored value itself, or null on a miss
+  /// (booked and LRU-refreshed exactly like get()). Stored values are
+  /// immutable — put() on an existing key installs a new object — so the
+  /// pointer stays valid and unchanged for as long as the caller holds it,
+  /// and one object always belongs to one put() of one key.
+  std::shared_ptr<const RaceSamples> get_shared(const ForecastCacheKey& key);
 
   /// Insert (or refresh) a forecast; evicts the stripe's least-recently-
   /// used entry when the stripe is full. Values are deep-copied in.
@@ -186,7 +192,8 @@ class ForecastCache {
       return static_cast<std::size_t>(k.hash());
     }
   };
-  using Entry = std::pair<ForecastCacheKey, RaceSamples>;
+  using Entry =
+      std::pair<ForecastCacheKey, std::shared_ptr<const RaceSamples>>;
 
   struct Stripe {
     mutable std::mutex mutex;

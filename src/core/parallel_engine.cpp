@@ -138,10 +138,10 @@ RaceSamples ParallelForecastEngine::forecast(const telemetry::RaceLog& race,
   return forecast(race, origin_lap, horizon, num_samples, rng, nullptr);
 }
 
-RaceSamples ParallelForecastEngine::forecast(const telemetry::RaceLog& race,
-                                             int origin_lap, int horizon,
-                                             int num_samples, util::Rng& rng,
-                                             bool* cache_hit) {
+RaceSamples ParallelForecastEngine::forecast(
+    const telemetry::RaceLog& race, int origin_lap, int horizon,
+    int num_samples, util::Rng& rng, bool* cache_hit,
+    std::optional<std::uint64_t> race_digest) {
   if (cache_hit != nullptr) *cache_hit = false;
   if (partitioned_ == nullptr) {
     // Not partitionable: plain delegation on the calling thread, consuming
@@ -156,12 +156,26 @@ RaceSamples ParallelForecastEngine::forecast(const telemetry::RaceLog& race,
   // — and, because the fallback tiers derive from the same base, what
   // keeps degraded forecasts deterministic too.
   return forecast_with_base(race, origin_lap, horizon, num_samples, rng(),
-                            cache_hit);
+                            cache_hit, race_digest);
+}
+
+ForecastCacheKey ParallelForecastEngine::cache_key(std::uint64_t race_digest,
+                                                   std::uint64_t base,
+                                                   int origin_lap, int horizon,
+                                                   int num_samples) const {
+  return ForecastCacheKey{race_digest,
+                          base,
+                          model_version_,
+                          origin_lap,
+                          horizon,
+                          num_samples,
+                          static_cast<int>(tensor::kernels::active_variant())};
 }
 
 RaceSamples ParallelForecastEngine::forecast_with_base(
     const telemetry::RaceLog& race, int origin_lap, int horizon,
-    int num_samples, std::uint64_t base, bool* cache_hit) {
+    int num_samples, std::uint64_t base, bool* cache_hit,
+    std::optional<std::uint64_t> race_digest) {
   if (cache_hit != nullptr) *cache_hit = false;
   util::Timer wall;
   const auto ws_before = tensor::WorkspaceCounters::instance().snapshot();
@@ -179,17 +193,12 @@ RaceSamples ParallelForecastEngine::forecast_with_base(
   // pure function of (see forecast_cache.hpp), so a hit can return the
   // cached bytes verbatim. The base draw above already happened — a hit
   // consumes exactly the rng state a cold compute would.
-  ForecastCacheKey cache_key;
+  ForecastCacheKey key;
   if (cache_ != nullptr) {
-    cache_key = ForecastCacheKey{
-        race_state_digest(race),
-        base,
-        model_version_,
-        origin_lap,
-        horizon,
-        num_samples,
-        static_cast<int>(tensor::kernels::active_variant())};
-    if (auto cached = cache_->get(cache_key)) {
+    key = cache_key(
+        race_digest ? *race_digest : race_state_digest(race), base,
+        origin_lap, horizon, num_samples);
+    if (auto cached = cache_->get(key)) {
       if (cache_hit != nullptr) *cache_hit = true;
       prepare_span.stop();
       const double secs = wall.seconds();
@@ -344,7 +353,7 @@ RaceSamples ParallelForecastEngine::forecast_with_base(
   // for this key, and must not be replayed once the system recovers.
   if (cache_ != nullptr && deg.fallback_cars() == 0 &&
       deg.deadline_hits == 0 && !first_error) {
-    cache_->put(cache_key, out);
+    cache_->put(key, out);
   }
 
   const double wall_seconds = wall.seconds();

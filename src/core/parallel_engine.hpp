@@ -40,6 +40,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "core/forecast_cache.hpp"
 #include "core/forecaster.hpp"
@@ -107,9 +108,13 @@ class ParallelForecastEngine : public RaceForecaster {
   /// `*cache_hit` is set true when the bytes came from the forecast cache,
   /// false otherwise. Unlike the process-wide CacheCounters, it cannot be
   /// moved by other engines or shards hitting the cache meanwhile.
+  /// `race_digest`, when given, must be race_state_digest(race): callers
+  /// that already hold it (the server pins one per loaded race) skip the
+  /// O(cars x laps) re-hash the cache key otherwise costs on every call.
   RaceSamples forecast(const telemetry::RaceLog& race, int origin_lap,
                        int horizon, int num_samples, util::Rng& rng,
-                       bool* cache_hit);
+                       bool* cache_hit,
+                       std::optional<std::uint64_t> race_digest = std::nullopt);
 
   /// Keyed entry point: forecast from an explicit rng stream base instead
   /// of drawing one from a caller generator. For a partitionable wrapped
@@ -121,10 +126,10 @@ class ParallelForecastEngine : public RaceForecaster {
   /// Non-partitionable forecasters are delegated to with a generator
   /// derived from `base` via util::Rng::stream (documented divergence from
   /// forecast(rng), which hands them the caller's generator).
-  RaceSamples forecast_with_base(const telemetry::RaceLog& race,
-                                 int origin_lap, int horizon, int num_samples,
-                                 std::uint64_t base,
-                                 bool* cache_hit = nullptr);
+  RaceSamples forecast_with_base(
+      const telemetry::RaceLog& race, int origin_lap, int horizon,
+      int num_samples, std::uint64_t base, bool* cache_hit = nullptr,
+      std::optional<std::uint64_t> race_digest = std::nullopt);
 
   std::size_t threads() const { return pool_.size(); }
   /// True when the wrapped forecaster supports partitioned fan-out.
@@ -157,6 +162,13 @@ class ParallelForecastEngine : public RaceForecaster {
   /// weights change under the same name, or stale forecasts will be served.
   void set_model_version(std::uint64_t version) { model_version_ = version; }
   std::uint64_t model_version() const { return model_version_; }
+  /// The key this engine files a forecast under: the one definition shared
+  /// by forecast_with_base and by callers that look the cache up without
+  /// running a forecast (the server's admission rung). `race_digest` is
+  /// race_state_digest of the race being forecast.
+  ForecastCacheKey cache_key(std::uint64_t race_digest, std::uint64_t base,
+                             int origin_lap, int horizon,
+                             int num_samples) const;
 
   Stats stats() const;
   Degradation degradation() const;

@@ -164,8 +164,11 @@ Result<std::shared_ptr<ServingModel>> ModelRegistry::build_candidate(
 void ModelRegistry::publish(std::shared_ptr<const ServingModel> model) {
   // The atomic hot-swap: one pointer store under the mutex. Readers that
   // already copied the old shared_ptr keep draining on the old engine.
-  previous_ = std::move(active_);
-  active_ = std::move(model);
+  {
+    std::lock_guard<std::mutex> pointer_lock(active_mutex_);
+    previous_ = std::move(active_);
+    active_ = std::move(model);
+  }
   probation_remaining_ = config_.probation_requests;
   probation_deadline_ = config_.probation_seconds > 0.0
                             ? clock_() + config_.probation_seconds
@@ -219,7 +222,10 @@ ModelRegistry::SwapOutcome ModelRegistry::rollback(const std::string& reason) {
         "registry: no previous version to roll back to (" + reason + ")");
     return out;
   }
-  active_ = std::move(previous_);
+  {
+    std::lock_guard<std::mutex> pointer_lock(active_mutex_);
+    active_ = std::move(previous_);
+  }
   previous_ = nullptr;        // one level of undo, not a history
   probation_remaining_ = 0;   // the restored version already served cleanly
   probation_deadline_ = 0.0;
@@ -256,12 +262,12 @@ bool ModelRegistry::record_serving_result(std::uint64_t version, bool ok) {
 }
 
 std::shared_ptr<const ServingModel> ModelRegistry::active() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(active_mutex_);
   return active_;
 }
 
 std::uint64_t ModelRegistry::active_version() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(active_mutex_);
   return active_ ? active_->version : 0;
 }
 

@@ -145,6 +145,9 @@ class ModelRegistry {
 
   /// Current generation (nullptr before a successful init). The returned
   /// shared_ptr is the drain token: hold it across the whole request.
+  /// Never waits on a candidate build: the server's io thread calls this
+  /// on every request (its cache rung) while a swap may be loading and
+  /// gating a candidate under the registry mutex.
   std::shared_ptr<const ServingModel> active() const;
   std::uint64_t active_version() const;
 
@@ -168,6 +171,9 @@ class ModelRegistry {
   std::optional<telemetry::RaceLog> probe_race_;
 
   mutable std::mutex mutex_;
+  /// Guards only the active_ pointer: writers (publish, rollback) hold
+  /// mutex_ and then this; active()/active_version() take only this.
+  mutable std::mutex active_mutex_;
   std::shared_ptr<const ServingModel> active_;
   std::shared_ptr<const ServingModel> previous_;  // rollback target
   std::uint64_t next_version_ = 1;

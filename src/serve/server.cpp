@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <future>
 #include <map>
@@ -42,6 +43,43 @@ double seconds_until(std::chrono::steady_clock::time_point deadline,
   return std::chrono::duration<double>(deadline - now).count();
 }
 
+/// A served answer (request_id left for the caller): medians per car, the
+/// tier, the model version, and the health verdict as the status.
+wire::ForecastResponse make_response(std::uint64_t model_version,
+                                     wire::Tier tier,
+                                     const core::RaceSamples& samples) {
+  wire::ForecastResponse response;
+  response.model_version = model_version;
+  response.tier = tier;
+  for (const auto& [car_id, m] : samples) {
+    response.cars.push_back({car_id, core::median_trajectory(m)});
+  }
+  if (!response_healthy(response)) {
+    response.status_code =
+        static_cast<std::uint8_t>(util::StatusCode::kFailedPrecondition);
+    response.message = "model emitted non-finite or implausible medians";
+  }
+  return response;
+}
+
+/// The forecast-cache entry `engine` holds for `req` on `entry`, or null on
+/// a miss. The one place a serving-side cache key is built, shared by the
+/// admission rung and the worker's degraded tier: the pinned race digest
+/// (no re-hash), the request seed's first draw as the base (the engine's
+/// rng protocol), and engine.cache_key() for the rest — so both find
+/// exactly the entry a full engine call would.
+std::shared_ptr<const core::RaceSamples> cached_samples(
+    const core::ParallelForecastEngine& engine, const RaceEntry& entry,
+    const wire::ForecastRequest& req) {
+  const auto& cache = engine.forecast_cache();
+  // Only partitioned engines fill the cache (forecast_cache.hpp).
+  if (!cache || !engine.partitioned()) return nullptr;
+  return cache->get_shared(engine.cache_key(entry.digest,
+                                            util::Rng(req.seed)(),
+                                            req.origin_lap, req.horizon,
+                                            req.num_samples));
+}
+
 }  // namespace
 
 ForecastServer::ForecastServer(ModelRegistry& registry, ServerConfig config)
@@ -57,6 +95,9 @@ ForecastServer::ForecastServer(ModelRegistry& registry, ServerConfig config)
   m_.requests_bad = &reg.counter("serve.requests.bad");
   m_.shed_queue_full = &reg.counter("serve.admission.shed_queue_full");
   m_.admitted_degraded = &reg.counter("serve.admission.degraded");
+  m_.admission_cache_hits = &reg.counter("serve.admission.cache_hits");
+  m_.admission_cache_deferred =
+      &reg.counter("serve.admission.cache_deferred");
   m_.unknown_race = &reg.counter("serve.admission.unknown_race");
   m_.expired_in_queue = &reg.counter("serve.deadline.expired_in_queue");
   m_.tier_full = &reg.counter("serve.tier.full");
@@ -215,6 +256,7 @@ bool ForecastServer::drain_frames(const std::shared_ptr<Conn>& conn) {
         auto req = wire::decode_swap_request(payload);
         if (req.ok()) {
           std::lock_guard<std::mutex> lock(queue_mutex_);
+          swaps_pending_.fetch_add(1, std::memory_order_acq_rel);
           admin_.push_back(AdminOp{conn, std::move(req).value()});
           queue_cv_.notify_one();
         } else {
@@ -274,6 +316,11 @@ void ForecastServer::handle_forecast_frame(
     return;
   }
 
+  // Top rung: a forecast-cache hit is answered right here, with no queue
+  // slot, no worker/driver handoff and no race re-hash — even when the
+  // queue is full, since the bytes already exist.
+  if (answer_from_cache(item)) return;
+
   std::uint32_t deadline_us = item.req.deadline_us == 0
                                   ? config_.default_deadline_us
                                   : item.req.deadline_us;
@@ -294,6 +341,58 @@ void ForecastServer::handle_forecast_frame(
   }
   queue_.push_back(std::move(item));
   queue_cv_.notify_one();
+}
+
+bool ForecastServer::answer_from_cache(const Pending& item) {
+  // Swap ordering: the worker applies a queued swap before it serves
+  // anything admitted after it, so while one is pending a hit here could
+  // hand out the outgoing model's bytes. Queue behind the swap instead.
+  if (swaps_pending_.load(std::memory_order_acquire) != 0) return false;
+  const auto model = registry_.active();
+  if (!model) return false;
+  // The worker rejects an origin past the race's end; never answer one.
+  if (item.req.origin_lap >= item.race->race->num_laps()) return false;
+  // The engine the worker would route this race to (process_group), whose
+  // model_version keys the cache entry.
+  std::shared_ptr<core::RaceShard> shard;
+  if (model->fleet) shard = model->fleet->shard_for(item.req.race_id);
+  const auto& engine = shard ? shard->engine() : model->engine;
+  if (!engine) return false;
+  const auto samples = cached_samples(*engine, *item.race, item.req);
+  if (!samples) return false;
+
+  // Never wait on the peer: a worker may hold the write lock mid-send to a
+  // slow reader, and a full socket buffer would block the write. Either
+  // way the request takes the queued path, where the waiting happens on a
+  // shard driver instead of the admission loop.
+  Conn& conn = *item.conn;
+  std::unique_lock<std::mutex> lock(conn.write_mutex, std::try_to_lock);
+  if (!lock.owns_lock() || !conn.stream.writable()) {
+    m_.admission_cache_deferred->add(1);
+    return false;
+  }
+  // Medians are the bulk of a hit's cost; a hot key reuses the response
+  // built from the same cached object (make_response is pure in it).
+  const auto address = reinterpret_cast<std::uintptr_t>(samples.get());
+  MemoSlot& memo = answer_memo_[address / alignof(std::max_align_t) %
+                                answer_memo_.size()];
+  if (memo.samples != samples ||
+      memo.response.model_version != model->version) {
+    memo.samples = samples;
+    memo.response = make_response(model->version, wire::Tier::kCached,
+                                  *samples);
+  }
+  memo.response.request_id = item.req.request_id;
+  const auto frame = wire::encode_frame(
+      wire::FrameType::kForecastResponse,
+      wire::encode_forecast_response(memo.response));
+  // Booked before the send, like process_group.
+  m_.admission_cache_hits->add(1);
+  m_.tier_cached->add(1);
+  m_.request_latency->observe(
+      std::chrono::duration<double>(Clock::now() - item.arrival).count());
+  send_locked(conn, frame);
+  return true;
 }
 
 void ForecastServer::handle_load_race(const std::shared_ptr<Conn>& conn,
@@ -343,6 +442,8 @@ void ForecastServer::worker_loop() {
     // deterministic.
     for (auto& op : admin) {
       const auto outcome = registry_.swap(op.swap.artifact_path);
+      // The swap is published (or refused); the cache rung may resume.
+      swaps_pending_.fetch_sub(1, std::memory_order_acq_rel);
       wire::SwapAck ack;
       ack.status_code = static_cast<std::uint8_t>(outcome.status.code());
       ack.action = outcome.action;
@@ -468,8 +569,6 @@ void ForecastServer::process_group(
   }
 
   wire::ForecastResponse response;
-  response.model_version = model->version;
-  wire::Tier tier = wire::Tier::kFull;
 
   // The engine's base draw is the caller rng's first u64, so the key's
   // `base` — and with it cache/dedup identity — is a pure function of the
@@ -479,31 +578,13 @@ void ForecastServer::process_group(
   if (live.front().degraded) {
     // Overload tier: answer from the cache if the bytes already exist,
     // else from the cheap fallback model. Never the primary engine.
-    const std::uint64_t base = util::Rng(req.seed)();
-    core::RaceSamples samples;
-    bool cached = false;
-    if (const auto& cache = engine->forecast_cache()) {
-      core::ForecastCacheKey key{
-          entry->digest,
-          base,
-          engine->model_version(),
-          req.origin_lap,
-          req.horizon,
-          req.num_samples,
-          static_cast<int>(tensor::kernels::active_variant())};
-      if (auto hit = cache->get(key)) {
-        samples = *std::move(hit);
-        cached = true;
-      }
-    }
-    if (!cached) {
-      samples = registry_.fallback()->forecast(*entry->race, req.origin_lap,
-                                               req.horizon, req.num_samples,
-                                               rng);
-    }
-    tier = cached ? wire::Tier::kCached : wire::Tier::kFallback;
-    for (const auto& [car_id, m] : samples) {
-      response.cars.push_back({car_id, core::median_trajectory(m)});
+    if (const auto cached = cached_samples(*engine, *entry, req)) {
+      response = make_response(model->version, wire::Tier::kCached, *cached);
+    } else {
+      response = make_response(
+          model->version, wire::Tier::kFallback,
+          registry_.fallback()->forecast(*entry->race, req.origin_lap,
+                                         req.horizon, req.num_samples, rng));
     }
   } else {
     // Per-request budget rides the engine's deadline tier: the tightest
@@ -526,11 +607,13 @@ void ForecastServer::process_group(
     const auto deg_before = engine->degradation();
     // The tier comes from this call's own cache outcome: the process-wide
     // hit counter also moves when another shard hits the cache meanwhile.
+    // The digest pinned at admission spares the engine a race re-hash.
     bool cache_hit = false;
     core::RaceSamples samples;
     try {
       samples = engine->forecast(*entry->race, req.origin_lap, req.horizon,
-                                 req.num_samples, rng, &cache_hit);
+                                 req.num_samples, rng, &cache_hit,
+                                 entry->digest);
     } catch (const std::exception& e) {
       for (auto& item : live) {
         reject(item, Status::failed_precondition(
@@ -542,23 +625,17 @@ void ForecastServer::process_group(
     const auto fallback_delta =
         deg_after.fallback_cars() - deg_before.fallback_cars();
     const auto full_delta = deg_after.full_cars - deg_before.full_cars;
+    wire::Tier tier = wire::Tier::kFull;
     if (cache_hit) {
       tier = wire::Tier::kCached;
     } else if (fallback_delta > 0) {
       tier = full_delta > 0 ? wire::Tier::kPartial : wire::Tier::kFallback;
     }
-    for (const auto& [car_id, m] : samples) {
-      response.cars.push_back({car_id, core::median_trajectory(m)});
-    }
+    response = make_response(model->version, tier, samples);
   }
 
-  response.tier = tier;
-  const bool healthy = response_healthy(response);
-  if (!healthy) {
-    response.status_code =
-        static_cast<std::uint8_t>(util::StatusCode::kFailedPrecondition);
-    response.message = "model emitted non-finite or implausible medians";
-  }
+  const wire::Tier tier = response.tier;
+  const bool healthy = response.status_code == 0;
   // Serving feedback: probation rollback triggers here when a freshly
   // promoted model misbehaves on real traffic.
   if (tier == wire::Tier::kFull || tier == wire::Tier::kPartial) {
@@ -605,11 +682,17 @@ void ForecastServer::send_frame(const std::shared_ptr<Conn>& conn,
   if (conn->dead.load()) return;
   const auto frame = wire::encode_frame(type, payload);
   std::lock_guard<std::mutex> lock(conn->write_mutex);
-  if (auto st = conn->stream.send_all(frame.data(), frame.size(),
-                                      config_.write_timeout_seconds);
+  send_locked(*conn, frame);
+}
+
+void ForecastServer::send_locked(Conn& conn,
+                                 std::span<const std::uint8_t> frame) {
+  if (conn.dead.load()) return;
+  if (auto st = conn.stream.send_all(frame.data(), frame.size(),
+                                     config_.write_timeout_seconds);
       !st.ok()) {
     m_.write_failures->add(1);
-    conn->dead.store(true);
+    conn.dead.store(true);
   }
 }
 

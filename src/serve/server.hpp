@@ -2,10 +2,11 @@
 //
 // Two threads, each with one job:
 //   * I/O thread — accept, per-connection frame reassembly, and *admission
-//     control*: every incoming forecast request is admitted (possibly at a
-//     degraded tier), explicitly rejected, or its whole connection dropped
-//     (slow-client guard) the moment it is parsed. Nothing unbounded ever
-//     reaches the compute side.
+//     control*: every incoming forecast request is answered from the
+//     forecast cache, admitted (possibly at a degraded tier), explicitly
+//     rejected, or its whole connection dropped (slow-client guard) the
+//     moment it is parsed. Nothing unbounded ever reaches the compute side,
+//     and a cache hit never reaches it at all: no thread handoff.
 //   * worker thread — pops up to batch_max admitted requests, groups the
 //     compatible ones (same race/origin/horizon/samples/seed) into one
 //     engine call each (cross-request micro-batching; duplicates ride the
@@ -22,7 +23,18 @@
 // pins it in the queued request, so the worker hot path takes no race-table
 // lock at all (serve/race_table.hpp).
 //
-// Overload policy (the degradation ladder, serving-side):
+// Admission ladder (top rung first; every request takes the first that
+// applies):
+//   forecast cache hit    -> Tier::kCached, answered on the io thread: the
+//                            key is built from the pinned RaceEntry digest
+//                            (no race re-hash) and the response bytes equal
+//                            what the worker path would send. Skipped while
+//                            a swap is queued or running (a request that
+//                            follows a swap frame never gets the old
+//                            model's bytes), and skipped — the request is
+//                            queued instead — when the connection's write
+//                            lock is held or its socket is not writable:
+//                            the io thread never waits on a peer.
 //   queue full            -> Tier::kRejected   (kUnavailable, immediate)
 //   queue over watermark  -> degraded admission: answered from the forecast
 //                            cache if possible, else the fallback model
@@ -39,6 +51,7 @@
 // slow_client_timeout_seconds is dropped. All booked in "serve.*" metrics.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -140,6 +153,12 @@ class ForecastServer {
   void handle_load_race(const std::shared_ptr<Conn>& conn,
                         std::span<const std::uint8_t> payload);
 
+  /// Top admission rung: answer `item` from the forecast cache on the io
+  /// thread. False (nothing sent, nothing booked) when the request must be
+  /// queued instead: a swap is pending, no active model, a cache miss, or
+  /// a write that could wait on the peer.
+  bool answer_from_cache(const Pending& item);
+
   /// Serve one micro-batch group (identical request parameters) with one
   /// engine call on `shard`; `members` all receive the same payload under
   /// their own request ids. Runs on the shard's driver thread (or the
@@ -154,6 +173,8 @@ class ForecastServer {
                const wire::ForecastResponse& response);
   void send_frame(const std::shared_ptr<Conn>& conn, wire::FrameType type,
                   std::span<const std::uint8_t> payload);
+  /// Write one encoded frame; the caller holds conn.write_mutex.
+  void send_locked(Conn& conn, std::span<const std::uint8_t> frame);
   void reject(const Pending& item, util::Status status);
   void finish(const Pending& item, wire::Tier tier);
 
@@ -168,12 +189,27 @@ class ForecastServer {
 
   std::vector<std::shared_ptr<Conn>> conns_;  // io thread only
 
+  /// io thread only: the cache rung's last response per cached samples
+  /// object (direct-mapped by address). A slot is reused only while the
+  /// forecast cache hands out that very object again — holding it here
+  /// keeps the address from being recycled — so a hit never serves bytes
+  /// the cache no longer holds, and eviction or clear() still takes effect.
+  struct MemoSlot {
+    std::shared_ptr<const core::RaceSamples> samples;
+    wire::ForecastResponse response;
+  };
+  std::array<MemoSlot, 64> answer_memo_;
+
   RaceTable races_;
 
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<Pending> queue_;
   std::deque<AdminOp> admin_;
+  /// Swap frames parsed but not yet applied: raised by the io thread when
+  /// it queues one, lowered by the worker once registry_.swap() returns.
+  /// While nonzero the cache rung stands aside.
+  std::atomic<std::uint32_t> swaps_pending_{0};
 
   // serve.* metric handles, resolved once in the constructor.
   struct Metrics {
@@ -187,6 +223,8 @@ class ForecastServer {
     obs::Counter* requests_bad;
     obs::Counter* shed_queue_full;
     obs::Counter* admitted_degraded;
+    obs::Counter* admission_cache_hits;      // answered by the cache rung
+    obs::Counter* admission_cache_deferred;  // hits queued: write could wait
     obs::Counter* unknown_race;
     obs::Counter* expired_in_queue;
     obs::Counter* tier_full;

@@ -111,6 +111,13 @@ Status UnixStream::send_all(const void* data, std::size_t n,
   return {};
 }
 
+bool UnixStream::writable() const {
+  if (!valid()) return false;
+  // poll_one rounds its timeout up to 1 ms; this check must not wait at all.
+  pollfd p{fd_.get(), POLLOUT, 0};
+  return ::poll(&p, 1, 0) > 0 && (p.revents & POLLOUT) != 0;
+}
+
 Status UnixStream::recv_all(void* data, std::size_t n,
                             double timeout_seconds) {
   auto* p = static_cast<unsigned char*>(data);

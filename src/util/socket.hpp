@@ -69,6 +69,13 @@ class UnixStream {
   /// is suppressed via MSG_NOSIGNAL).
   Status send_all(const void* data, std::size_t n, double timeout_seconds);
 
+  /// True when the kernel would take a write right now (poll() POLLOUT,
+  /// zero timeout). On Linux AF_UNIX that means at most a quarter of the
+  /// send buffer is in flight, so a frame under half the buffer goes out
+  /// whole with no wait — the server's admission rung relies on this to
+  /// answer on the io thread without ever blocking on a slow reader.
+  bool writable() const;
+
   /// Read exactly `n` bytes. kUnavailable on timeout before the first byte,
   /// kCorruptData when the peer closes mid-buffer (truncation).
   Status recv_all(void* data, std::size_t n, double timeout_seconds);

@@ -406,6 +406,40 @@ TEST_F(DecodeTreeTest, CacheSharedAcrossEnginesAndRaceStateSensitive) {
   EXPECT_NE(core::race_state_digest(*race_), core::race_state_digest(other));
 }
 
+TEST_F(DecodeTreeTest, PassedRaceDigestSharesTheComputedDigestsEntry) {
+  core::RankNetForecaster f(model_, nullptr, *vocab_,
+                            features::CovariateConfig{},
+                            core::StatusSource::kOracle, "oracle");
+  core::ParallelForecastEngine engine(f, 1);
+  auto cache = std::make_shared<core::ForecastCache>(8);
+  engine.set_forecast_cache(cache);
+  const std::uint64_t digest = core::race_state_digest(*race_);
+
+  // Passed first, then computed: the second call hits the first's entry.
+  bool hit = true;
+  const auto passed = engine.forecast_with_base(*race_, 50, 4, 7, 0x5eed,
+                                                &hit, digest);
+  EXPECT_FALSE(hit);
+  const auto computed =
+      engine.forecast_with_base(*race_, 50, 4, 7, 0x5eed, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_TRUE(SamplesIdentical(passed, computed));
+
+  // Computed first, then passed (through the rng entry point).
+  util::Rng cold_rng(77);
+  const auto cold = engine.forecast(*race_, 50, 4, 7, cold_rng, &hit);
+  EXPECT_FALSE(hit);
+  util::Rng hit_rng(77);
+  const auto warm =
+      engine.forecast(*race_, 50, 4, 7, hit_rng, &hit, digest);
+  EXPECT_TRUE(hit);
+  EXPECT_TRUE(SamplesIdentical(cold, warm));
+  EXPECT_EQ(cache->size(), 2u);
+  // The key a caller builds with cache_key() is the one the engine files.
+  EXPECT_TRUE(cache->get(engine.cache_key(digest, util::Rng(77)(), 50, 4, 7))
+                  .has_value());
+}
+
 TEST_F(DecodeTreeTest, DegradedForecastsAreNeverCached) {
   core::RankNetForecaster primary(model_, nullptr, *vocab_,
                                   features::CovariateConfig{},

@@ -85,6 +85,34 @@ TEST(ForecastCache, HitReturnsExactBytesAndMissReturnsNullopt) {
   EXPECT_TRUE(same_bytes(*hit2, value));
 }
 
+TEST(ForecastCache, GetSharedHandsOutTheStoredObjectUntilItIsReplaced) {
+  auto& ctr = core::CacheCounters::instance();
+  core::ForecastCache cache(4);
+  const auto misses0 = ctr.misses();
+  EXPECT_EQ(cache.get_shared(key(1)), nullptr);
+  EXPECT_EQ(ctr.misses(), misses0 + 1);
+
+  const auto value = make_samples(0.5);
+  cache.put(key(1), value);
+  const auto hits0 = ctr.hits();
+  const auto first = cache.get_shared(key(1));
+  ASSERT_NE(first, nullptr);
+  EXPECT_TRUE(same_bytes(*first, value));
+  EXPECT_EQ(cache.get_shared(key(1)), first) << "a hit copied the entry";
+  EXPECT_EQ(ctr.hits(), hits0 + 2);
+
+  // A put over the key installs a new object; the old one is untouched.
+  cache.put(key(1), make_samples(0.75));
+  const auto second = cache.get_shared(key(1));
+  ASSERT_NE(second, nullptr);
+  EXPECT_NE(second, first);
+  EXPECT_TRUE(same_bytes(*second, make_samples(0.75)));
+  EXPECT_TRUE(same_bytes(*first, value));
+  cache.clear();
+  EXPECT_EQ(cache.get_shared(key(1)), nullptr);
+  EXPECT_TRUE(same_bytes(*second, make_samples(0.75)));
+}
+
 TEST(ForecastCache, KeyDiscriminatesEveryField) {
   core::ForecastCache cache(32);
   cache.put(key(1), make_samples(1.0));

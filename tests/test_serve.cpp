@@ -877,22 +877,25 @@ struct TierProbe {
   std::atomic<bool> plug_started{false};
   std::atomic<bool> gated_started{false};
   std::atomic<std::uint64_t> hits_at_arm{0};
+  // While true the plug keeps holding the worker after its 150 ms.
+  std::atomic<bool> hold_plug{false};
 };
 
 constexpr int kPlugOrigin = 20;
 
-// Polls `done` every millisecond for up to 3 s.
+// Polls `done` every millisecond for up to `seconds`.
 template <typename Pred>
-void wait_until(Pred done) {
+void wait_until(Pred done, int seconds = 3) {
   const auto limit =
-      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+      std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
   while (!done() && std::chrono::steady_clock::now() < limit) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }
 
 // Affine model with scripted timing once the probe is armed: a forecast at
-// kPlugOrigin on the gated race holds the worker for 150 ms; any other
+// kPlugOrigin on the gated race holds the worker for 150 ms (and then for
+// as long as hold_plug stays set, up to 10 s); any other
 // forecast on the gated race blocks in its first partition until some
 // cache hit has been booked, then overruns its deadline; a forecast on any
 // other race holds its prepare() — which runs before the engine's cache
@@ -916,6 +919,7 @@ class ScriptedAffineModel : public serve::AffineRankModel {
       if (origin_lap == kPlugOrigin) {
         if (!probe_->plug_started.exchange(true)) {
           std::this_thread::sleep_for(std::chrono::milliseconds(150));
+          wait_until([&] { return !probe_->hold_plug.load(); }, 10);
         }
       } else if (!probe_->gated_started.exchange(true)) {
         wait_until([&] {
@@ -937,9 +941,9 @@ class ScriptedAffineModel : public serve::AffineRankModel {
 
 TEST_F(ServeTest, TierLabelIsThisCallsOwnCacheOutcome) {
   // Two shards: race X's forecast overruns its deadline (a partial) while
-  // the other shard answers race Y from the forecast cache. The label must
-  // come from X's own call — the process-wide hit counter moved during it,
-  // but X was never a cache hit.
+  // race Y is answered from the forecast cache — at admission, by the io
+  // thread's cache rung. The label must come from X's own call — the
+  // process-wide hit counter moved during it, but X was never a cache hit.
   auto probe = std::make_shared<TierProbe>();
   probe->gated_race = race_->id();
   serve::ModelFactory factory =
@@ -992,8 +996,8 @@ TEST_F(ServeTest, TierLabelIsThisCallsOwnCacheOutcome) {
     }
     return stream.value().send_all(out.data(), out.size(), 2.0);
   };
-  // The plug holds the worker, so X and Y queue up and share the next
-  // micro-batch: X runs on its shard while Y runs on the other.
+  // The plug holds the worker, so X queues behind it. Y is sent once X is
+  // inside its partition: Y's cache hit lands while X's call is running.
   auto plug = make_request(2, 3);
   plug.origin_lap = kPlugOrigin;
   plug.deadline_us = 2000000;
@@ -1002,8 +1006,10 @@ TEST_F(ServeTest, TierLabelIsThisCallsOwnCacheOutcome) {
   ASSERT_TRUE(probe->plug_started.load());
   auto x = make_request(3, 11);
   x.deadline_us = 1000000;
+  ASSERT_TRUE(send({&x}).ok());
+  wait_until([&] { return probe->gated_started.load(); });
   y.request_id = 4;
-  ASSERT_TRUE(send({&x, &y}).ok());
+  ASSERT_TRUE(send({&y}).ok());
 
   std::map<std::uint64_t, wire::ForecastResponse> responses;
   for (int i = 0; i < 3; ++i) {
@@ -1026,6 +1032,345 @@ TEST_F(ServeTest, TierLabelIsThisCallsOwnCacheOutcome) {
   EXPECT_EQ(responses.at(3).tier, wire::Tier::kPartial)
       << "a deadline-partial forecast was labelled by another shard's hit";
   probe->armed = false;
+}
+
+// --- admission cache rung --------------------------------------------------
+
+TEST_F(ServeTest, AdmissionCacheHitNeverReachesTheWorker) {
+  serve::ServerConfig cfg;
+  cfg.socket_path = "/tmp/ranknet_serve_rung.sock";
+  boot(cfg);
+  serve::ForecastClient client(client_config());
+  auto first = client.forecast(make_request(1, 99));
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first.value().tier, wire::Tier::kFull);
+
+  const auto shard =
+      registry_->active()->fleet->shard_for(race_->id())->index();
+  const std::string shard_groups =
+      "serve.shard." + std::to_string(shard) + ".groups";
+  const auto groups_before = counter_value("serve.batch.groups");
+  const auto shard_before = counter_value(shard_groups.c_str());
+  const auto hits_before = counter_value("serve.admission.cache_hits");
+  const auto cached_before = counter_value("serve.tier.cached");
+
+  auto replay = client.forecast(make_request(2, 99));
+  ASSERT_TRUE(replay.ok());
+  ASSERT_TRUE(replay.value().ok()) << replay.value().message;
+  EXPECT_EQ(replay.value().tier, wire::Tier::kCached);
+  EXPECT_EQ(replay.value().model_version, 1u);
+  EXPECT_TRUE(cars_identical(replay.value().cars, first.value().cars));
+  EXPECT_EQ(counter_value("serve.batch.groups"), groups_before);
+  EXPECT_EQ(counter_value(shard_groups.c_str()), shard_before);
+  EXPECT_EQ(counter_value("serve.admission.cache_hits"), hits_before + 1);
+  EXPECT_EQ(counter_value("serve.tier.cached"), cached_before + 1);
+}
+
+TEST_F(ServeTest, AdmissionAnswersOnlyWhatTheCacheStillHolds) {
+  // The rung reuses the response it built for a cached entry, but only
+  // while the cache still hands out that entry: a cleared cache is a miss.
+  serve::ServerConfig cfg;
+  cfg.socket_path = "/tmp/ranknet_serve_rung_clear.sock";
+  boot(cfg);
+  serve::ForecastClient client(client_config());
+  auto first = client.forecast(make_request(1, 99));
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first.value().tier, wire::Tier::kFull);
+  auto hit = client.forecast(make_request(2, 99));
+  ASSERT_TRUE(hit.ok());
+  ASSERT_EQ(hit.value().tier, wire::Tier::kCached);
+
+  registry_->active()->engine->forecast_cache()->clear();
+  auto cold = client.forecast(make_request(3, 99));
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(cold.value().tier, wire::Tier::kFull);
+  auto again = client.forecast(make_request(4, 99));
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().tier, wire::Tier::kCached);
+  for (const auto* r : {&hit, &cold, &again}) {
+    EXPECT_TRUE(cars_identical(r->value().cars, first.value().cars));
+  }
+}
+
+// Runs ServeTest with ScriptedAffineModel so a test can hold the worker
+// (the plug) while it pipelines frames the io thread must handle alone.
+class ServePlugTest : public ServeTest {
+ protected:
+  void boot_plugged(serve::ServerConfig cfg) {
+    probe_ = std::make_shared<TierProbe>();
+    probe_->gated_race = race_->id();
+    auto probe = probe_;
+    serve::ModelFactory factory =
+        [probe](const std::string& path)
+        -> util::Result<std::shared_ptr<core::RaceForecaster>> {
+      auto model = std::make_shared<ScriptedAffineModel>(probe);
+      if (auto st = model->load_artifact(path); !st.ok()) return st;
+      return std::shared_ptr<core::RaceForecaster>(std::move(model));
+    };
+    boot(std::move(cfg), {}, 0, std::move(factory));
+    auto stream = util::UnixStream::connect(socket_path_, 1.0);
+    ASSERT_TRUE(stream.ok());
+    stream_ = std::move(stream).value();
+  }
+
+  // Holds the worker inside the plug forecast until release_plug(). The
+  // probe is disarmed again once the plug is in place, so no other
+  // forecast (a swap's gate probe included) is scripted.
+  void plug() {
+    probe_->hold_plug = true;
+    probe_->armed = true;
+    auto req = patient(1000, 3);
+    req.origin_lap = kPlugOrigin;
+    ASSERT_TRUE(send({frame(req)}).ok());
+    wait_until([&] { return probe_->plug_started.load(); });
+    ASSERT_TRUE(probe_->plug_started.load());
+    probe_->armed = false;
+  }
+  void release_plug() { probe_->hold_plug = false; }
+
+  static std::vector<std::uint8_t> frame(const wire::ForecastRequest& req) {
+    return wire::encode_frame(wire::FrameType::kForecastRequest,
+                              wire::encode_forecast_request(req));
+  }
+  static std::vector<std::uint8_t> swap_frame(const std::string& path) {
+    wire::SwapRequest swap;
+    swap.artifact_path = path;
+    return wire::encode_frame(wire::FrameType::kSwapModel,
+                              wire::encode_swap_request(swap));
+  }
+  // A request whose deadline outlives the plug, so queueing behind it is
+  // not a deadline rejection.
+  static wire::ForecastRequest patient(std::uint64_t id, std::uint64_t seed) {
+    auto req = make_request(id, seed);
+    req.deadline_us = 2000000;
+    return req;
+  }
+  // A request for a race nobody loaded: rejected by the io thread itself,
+  // so its answer proves every earlier frame was admitted.
+  static wire::ForecastRequest marker(std::uint64_t id) {
+    auto req = make_request(id, 1);
+    req.race_id = "never-loaded";
+    return req;
+  }
+
+  util::Status send(std::initializer_list<std::vector<std::uint8_t>> frames) {
+    std::vector<std::uint8_t> out;
+    for (const auto& f : frames) out.insert(out.end(), f.begin(), f.end());
+    return stream_.send_all(out.data(), out.size(), 2.0);
+  }
+
+  // Reads frames into responses_/acks_ until `id` has been answered.
+  void read_until(std::uint64_t id) {
+    while (!responses_.count(id)) {
+      std::uint8_t header_bytes[wire::kHeaderSize];
+      ASSERT_TRUE(
+          stream_.recv_all(header_bytes, sizeof(header_bytes), 10.0).ok())
+          << "request " << id << " never answered";
+      const auto header = wire::decode_header(header_bytes);
+      ASSERT_TRUE(header.ok());
+      std::vector<std::uint8_t> payload(header.value().payload_len);
+      ASSERT_TRUE(stream_.recv_all(payload.data(), payload.size(), 10.0).ok());
+      ASSERT_TRUE(wire::verify_payload(header.value(), payload).ok());
+      if (header.value().type == wire::FrameType::kSwapAck) {
+        auto ack = wire::decode_swap_ack(payload);
+        ASSERT_TRUE(ack.ok());
+        acks_.push_back(std::move(ack).value());
+        continue;
+      }
+      ASSERT_EQ(header.value().type, wire::FrameType::kForecastResponse);
+      auto response = wire::decode_forecast_response(payload);
+      ASSERT_TRUE(response.ok());
+      responses_[response.value().request_id] = std::move(response).value();
+    }
+  }
+
+  std::shared_ptr<TierProbe> probe_;
+  util::UnixStream stream_;
+  std::map<std::uint64_t, wire::ForecastResponse> responses_;
+  std::vector<wire::SwapAck> acks_;
+};
+
+TEST_F(ServePlugTest, RequestAfterSwapFrameNeverGetsTheOldModelsCachedBytes) {
+  serve::ServerConfig cfg;
+  cfg.socket_path = "/tmp/ranknet_serve_rung_swap.sock";
+  boot_plugged(cfg);
+  serve::ForecastClient client(client_config());
+  auto warm = client.forecast(make_request(1, 11));
+  ASSERT_TRUE(warm.ok());
+  ASSERT_EQ(warm.value().model_version, 1u);
+
+  // The swap waits behind the plug; the request after it is cached under
+  // v1, and v1 is still active while the swap waits.
+  plug();
+  ASSERT_TRUE(send({swap_frame(kScaledArtifact), frame(patient(2, 11)),
+                    frame(marker(3))})
+                  .ok());
+  read_until(3);
+  release_plug();
+  read_until(2);
+  read_until(1000);
+  ASSERT_EQ(acks_.size(), 1u);
+  EXPECT_EQ(acks_[0].action, wire::SwapAction::kPromoted);
+  const auto& after = responses_.at(2);
+  ASSERT_TRUE(after.ok()) << after.message;
+  EXPECT_EQ(after.model_version, 2u)
+      << "a request pipelined after a swap was answered by the old model";
+  EXPECT_EQ(after.tier, wire::Tier::kFull);
+  EXPECT_FALSE(cars_identical(after.cars, warm.value().cars));
+}
+
+TEST_F(ServePlugTest, AdmissionAnswerIsByteIdenticalToTheWorkersCachedAnswer) {
+  serve::ServerConfig cfg;
+  cfg.socket_path = "/tmp/ranknet_serve_rung_bytes.sock";
+  boot_plugged(cfg);
+  serve::ForecastClient client(client_config());
+  ASSERT_TRUE(client.forecast(make_request(1, 11)).ok());
+
+  // A pending swap (of an artifact that does not exist, so v1 stays)
+  // sends the cached request down the worker path.
+  plug();
+  ASSERT_TRUE(send({swap_frame(tmp_path("absent")),
+                    frame(patient(2, 11)), frame(marker(3))})
+                  .ok());
+  read_until(3);
+  release_plug();
+  read_until(2);
+  ASSERT_EQ(acks_.size(), 1u);
+  EXPECT_EQ(acks_[0].action, wire::SwapAction::kRejected);
+
+  const auto hits_before = counter_value("serve.admission.cache_hits");
+  auto rung = client.forecast(make_request(4, 11));
+  ASSERT_TRUE(rung.ok());
+  EXPECT_EQ(counter_value("serve.admission.cache_hits"), hits_before + 1);
+
+  auto worker = responses_.at(2);
+  ASSERT_EQ(worker.tier, wire::Tier::kCached);
+  auto admission = rung.value();
+  worker.request_id = admission.request_id = 0;
+  EXPECT_EQ(wire::encode_forecast_response(worker),
+            wire::encode_forecast_response(admission));
+}
+
+TEST_F(ServePlugTest, FullQueueStillAnswersHitsAndRejectsMisses) {
+  serve::ServerConfig cfg;
+  cfg.socket_path = "/tmp/ranknet_serve_rung_full.sock";
+  cfg.queue_capacity = 2;
+  cfg.overload_watermark = 2;
+  boot_plugged(cfg);
+  serve::ForecastClient client(client_config());
+  auto warm = client.forecast(make_request(1, 11));
+  ASSERT_TRUE(warm.ok());
+
+  const auto shed_before = counter_value("serve.admission.shed_queue_full");
+  plug();
+  // Two misses fill the queue behind the plug; then a hit and a miss.
+  ASSERT_TRUE(send({frame(patient(2, 21)), frame(patient(3, 22)),
+                    frame(patient(4, 11)), frame(patient(5, 23))})
+                  .ok());
+  read_until(4);
+  read_until(5);
+  release_plug();
+  read_until(2);
+  read_until(3);
+
+  EXPECT_EQ(responses_.at(4).tier, wire::Tier::kCached);
+  EXPECT_TRUE(cars_identical(responses_.at(4).cars, warm.value().cars));
+  EXPECT_EQ(responses_.at(5).tier, wire::Tier::kRejected);
+  EXPECT_EQ(responses_.at(5).status_code,
+            static_cast<std::uint8_t>(util::StatusCode::kUnavailable));
+  EXPECT_EQ(counter_value("serve.admission.shed_queue_full"),
+            shed_before + 1);
+  EXPECT_EQ(responses_.at(2).tier, wire::Tier::kFull);
+  EXPECT_EQ(responses_.at(3).tier, wire::Tier::kFull);
+}
+
+TEST_F(ServeTest, ClientThatNeverReadsCannotStallAdmission) {
+  serve::ServerConfig cfg;
+  cfg.socket_path = "/tmp/ranknet_serve_rung_flood.sock";
+  cfg.queue_capacity = 4096;
+  cfg.overload_watermark = 4096;
+  // A write to the flooder waits this long before the server gives up on
+  // it; the second client must be answered well inside it.
+  cfg.write_timeout_seconds = 5.0;
+  boot(cfg);
+  serve::ForecastClient client(client_config());
+  auto warm = client.forecast(make_request(1, 99));
+  ASSERT_TRUE(warm.ok());
+
+  // Hot-key requests until the flooder's unread responses fill its socket
+  // and the rung starts deferring to the queue.
+  auto flood = util::UnixStream::connect(socket_path_, 1.0);
+  ASSERT_TRUE(flood.ok());
+  const auto received0 = counter_value("serve.requests.received");
+  const auto deferred0 = counter_value("serve.admission.cache_deferred");
+  std::uint64_t sent = 0;
+  while (counter_value("serve.admission.cache_deferred") == deferred0 &&
+         sent < 20000) {
+    std::vector<std::uint8_t> out;
+    for (int i = 0; i < 16; ++i) {
+      const auto frame = wire::encode_frame(
+          wire::FrameType::kForecastRequest,
+          wire::encode_forecast_request(make_request(100 + sent++, 99)));
+      out.insert(out.end(), frame.begin(), frame.end());
+    }
+    ASSERT_TRUE(flood.value().send_all(out.data(), out.size(), 2.0).ok());
+    wait_until([&] {
+      return counter_value("serve.requests.received") - received0 >= sent;
+    });
+  }
+  ASSERT_GT(counter_value("serve.admission.cache_deferred"), deferred0)
+      << "the flooder's socket never filled after " << sent << " requests";
+
+  serve::ForecastClient second(client_config());
+  const auto t0 = std::chrono::steady_clock::now();
+  auto answer = second.forecast(make_request(2, 99));
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  ASSERT_TRUE(answer.ok()) << answer.status().to_string();
+  EXPECT_EQ(answer.value().tier, wire::Tier::kCached);
+  EXPECT_TRUE(cars_identical(answer.value().cars, warm.value().cars));
+  EXPECT_LT(seconds, 2.5) << "admission waited on a client that never reads";
+}
+
+TEST_F(ServeTest, CacheHitIsAnsweredWhileACandidateBuilds) {
+  // A swap made through the registry (as the online loop makes them)
+  // holds the registry mutex while it loads and gates the candidate; the
+  // rung reads the active model on the io thread and must not wait on it.
+  auto loading = std::make_shared<std::atomic<bool>>(false);
+  auto release = std::make_shared<std::atomic<bool>>(false);
+  const auto affine = affine_factory();
+  serve::ModelFactory factory =
+      [loading, release, affine](const std::string& path)
+      -> util::Result<std::shared_ptr<core::RaceForecaster>> {
+    if (path == kScaledArtifact) {
+      *loading = true;
+      wait_until([&] { return release->load(); }, 10);
+    }
+    return affine(path);
+  };
+  serve::ServerConfig cfg;
+  cfg.socket_path = "/tmp/ranknet_serve_rung_build.sock";
+  boot(cfg, {}, 0, factory);
+  serve::ForecastClient client(client_config());
+  auto warm = client.forecast(make_request(1, 99));
+  ASSERT_TRUE(warm.ok());
+
+  std::thread swapper([&] { (void)registry_->swap(kScaledArtifact); });
+  wait_until([&] { return loading->load(); });
+  const auto t0 = std::chrono::steady_clock::now();
+  auto hit = client.forecast(make_request(2, 99));
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  *release = true;
+  swapper.join();
+  ASSERT_TRUE(loading->load());
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit.value().tier, wire::Tier::kCached);
+  EXPECT_EQ(hit.value().model_version, 1u);
+  EXPECT_LT(seconds, 5.0) << "the cache rung waited on a candidate build";
+  EXPECT_EQ(registry_->active_version(), 2u);
 }
 
 }  // namespace
