@@ -45,7 +45,7 @@ struct ThreadRow {
 };
 
 struct DecodeRow {
-  const char* variant = nullptr;  // non-null: reduced-precision axis row
+  const char* variant = nullptr;  // non-null: kernel-variant axis row
   int num_samples = 0;
   std::size_t rows = 0;        // trajectories sampled per forecast
   double us_per_sample = 0.0;  // wall µs per sampled trajectory-step
@@ -175,8 +175,7 @@ void inference_thread_scaling(RankNetFixture& fix, BenchResults& results) {
 DecodeRow measure_decode_row(RankNetFixture& fix, int samples, int origin,
                              int horizon) {
   // Two warm-up forecasts: the first grows the thread-local arena to this
-  // problem size (and, for reduced variants, builds the weight packs), the
-  // second leaves only warm epochs in the window.
+  // problem size, the second leaves only warm epochs in the window.
   util::Rng warm(11);
   (void)fix.forecaster.forecast(fix.race, origin, horizon, samples, warm);
   util::Rng warm2(11);
@@ -257,13 +256,11 @@ void mc_decode_scaling(RankNetFixture& fix, BenchResults& results) {
               "is the decode tree's prefix sharing, 1.0 = none)\n");
 }
 
-// Precision axis: the same 96-samples/car rollout, one row per dispatch
-// variant. Weight packs are built during warm-up, so the timed region sees
-// only the steady-state decode cost — the serving-side picture, where
-// weights are frozen. Rows carry a "variant" tag in the JSON so the
-// regression gate tracks them separately from the default rows above
-// (whose names must stay stable against old baselines).
-void mc_decode_precision_axis(RankNetFixture& fix, BenchResults& results) {
+// Kernel-variant axis: the same 96-samples/car rollout, one row per dispatch
+// variant. Rows carry a "variant" tag in the JSON so the regression gate
+// tracks them separately from the default rows above (whose names must
+// stay stable against old baselines).
+void mc_decode_variant_axis(RankNetFixture& fix, BenchResults& results) {
   namespace tk = tensor::kernels;
   const int horizon = 5;
   const int origin = 80;
@@ -278,8 +275,7 @@ void mc_decode_precision_axis(RankNetFixture& fix, BenchResults& results) {
               "rows/branch");
 
   double scalar_us = 0.0;
-  for (const auto variant : {tk::Variant::kScalar, tk::Variant::kAvx2,
-                             tk::Variant::kBf16, tk::Variant::kInt8}) {
+  for (const auto variant : {tk::Variant::kScalar, tk::Variant::kAvx2}) {
     if (!tk::cpu_supports(variant)) {
       std::printf("%10s (not supported on this CPU, skipped)\n",
                   tk::variant_name(variant));
@@ -297,10 +293,6 @@ void mc_decode_precision_axis(RankNetFixture& fix, BenchResults& results) {
     }
   }
   (void)tk::set_variant(restore);
-  std::printf("(bf16 rides the tuned f64 GEMM on pre-rounded operands — "
-              "near-avx2 speed at reduced precision; int8's win at these "
-              "cache-resident shapes is the 4x smaller pack, not time — "
-              "row quantization offsets the integer arithmetic)\n");
 }
 
 // Forecast-cache replay: the serving cadence loop asks for the same
@@ -508,7 +500,7 @@ int main() {
   RankNetFixture fixture;
   inference_thread_scaling(fixture, results);
   mc_decode_scaling(fixture, results);
-  mc_decode_precision_axis(fixture, results);
+  mc_decode_variant_axis(fixture, results);
   forecast_cache_replay(fixture, results);
   write_json(results, "BENCH_fig10.json");
   return 0;

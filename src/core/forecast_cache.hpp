@@ -19,9 +19,9 @@
 //                     name, and callers must bump it when weights change
 //                     under the same name (ParallelForecastEngine::
 //                     set_model_version).
-//   * kernel_variant — tensor::kernels::active_variant(): scalar and avx2
-//                     results differ by reassociation ULPs, so they must
-//                     never share an entry.
+//   * kernel_variant — tensor::kernels::active_variant() as an int (0 =
+//                     scalar, 1 = avx2): the two differ by reassociation
+//                     ULPs, so they must never share an entry.
 //
 // Thread safety: every method is safe to call concurrently (the engine
 // pool's workers and multiple engines may share one cache). The store is

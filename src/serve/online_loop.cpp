@@ -1,10 +1,8 @@
 #include "serve/online_loop.hpp"
 
-#include <cmath>
 #include <utility>
 
 #include "ml/online_linear.hpp"
-#include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "serve/affine_model.hpp"
 #include "util/string_util.hpp"
@@ -50,7 +48,6 @@ core::CandidateFitter make_affine_fitter(AffineFitterConfig config) {
                   const std::string& artifact_path)
              -> util::Result<core::FittedCandidate> {
     ml::OnlineLinearFit fit;
-    double absmax = 0.0;
     const auto h = static_cast<std::size_t>(config.horizon);
     for (const auto& race : train) {
       // Oldest race decays the most: one decay per boundary *before* its
@@ -61,7 +58,6 @@ core::CandidateFitter make_affine_fitter(AffineFitterConfig config) {
         if (rank.size() <= h) continue;
         for (std::size_t i = 0; i + h < rank.size(); ++i) {
           fit.add(rank[i], rank[i + h]);
-          absmax = std::max(absmax, std::abs(rank[i]));
         }
       }
     }
@@ -71,12 +67,8 @@ core::CandidateFitter make_affine_fitter(AffineFitterConfig config) {
     }
     const auto coeffs = fit.fit(config.ridge);
 
-    AffineRankModel model(coeffs.slope, coeffs.intercept);
-    // v3 artifact with a genuine calibration entry — the parser fuzz tests
-    // corrupt exactly this section on trainer-emitted artifacts.
-    tensor::quant::Calibration calibration;
-    calibration["affine"] = absmax;
-    nn::save_params(artifact_path, model.params(), calibration);
+    AffineRankModel::save_artifact(artifact_path, coeffs.slope,
+                                   coeffs.intercept);
 
     core::FittedCandidate out;
     out.forecaster =

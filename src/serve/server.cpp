@@ -113,8 +113,8 @@ ForecastServer::ForecastServer(ModelRegistry& registry, ServerConfig config)
   m_.batch_size = &reg.histogram("serve.batch.size", kBatchBounds);
   // Pin the serving numerics point into the metrics surface: forecast
   // bytes (and cache keys) depend on the active kernel variant, so an
-  // operator reading a serve dashboard can see at a glance whether this
-  // process decodes in f64 (scalar/avx2) or reduced precision (bf16/int8).
+  // operator reading a serve dashboard can see at a glance which one this
+  // process decodes with (0 = scalar, 1 = avx2).
   reg.gauge("serve.kernel.active_variant")
       .set(static_cast<double>(
           static_cast<int>(tensor::kernels::active_variant())));

@@ -138,9 +138,16 @@ TEST(KernelDispatch, ParseVariantRoundTrips) {
 }
 
 TEST(KernelDispatch, UnknownVariantFailsFast) {
-  const auto r = tk::parse_variant("sse9");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
+  // "bf16" / "int8" named reduced-precision variants in earlier releases;
+  // they must fail like any other unknown name, not fall back silently.
+  for (const char* name : {"sse9", "bf16", "int8"}) {
+    const auto r = tk::parse_variant(name);
+    ASSERT_FALSE(r.ok()) << name;
+    EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(r.status().message().find("(expected 'scalar' or 'avx2')"),
+              std::string::npos)
+        << r.status().to_string();
+  }
 
   const tk::Variant before = tk::active_variant();
   const util::Status st = tk::apply_env_override("bogus");

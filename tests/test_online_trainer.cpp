@@ -3,7 +3,7 @@
 // order), the shadow scorer, the OnlineTrainer lifecycle against a fake
 // promotion target (promote / reject / fit-fail / probation rollback /
 // async == sync), fuzz + adversarial coverage of the v3 artifact parser on
-// trainer-emitted artifacts, the registry-level rollback byte-restore
+// v3 files built in-test, the registry-level rollback byte-restore
 // property, and the incremental LSTM refit.
 #include <gtest/gtest.h>
 
@@ -15,6 +15,8 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/online_gate.hpp"
 #include "core/online_trainer.hpp"
@@ -419,7 +421,7 @@ TEST(OnlineTrainer, AsyncWorkerTraceMatchesSyncTrace) {
 }
 
 // ---------------------------------------------------------------------------
-// v3 artifact parser fuzz on trainer-emitted artifacts
+// v3 artifact parser fuzz
 // ---------------------------------------------------------------------------
 
 std::vector<char> read_file(const std::string& path) {
@@ -432,62 +434,12 @@ void write_file(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Emit a genuine trainer artifact: the affine fitter's v3 output with a
-/// real calibration section.
-std::string emit_trainer_artifact(const std::string& path) {
-  auto fitter = serve::make_affine_fitter();
-  const auto window = make_window(2);
-  auto fitted = fitter(window, 1, path);
-  EXPECT_TRUE(fitted.ok());
-  return path;
-}
-
-/// Assert that loading `path` fails and leaves the model's coefficients
-/// exactly as they were — the staged-commit contract.
-void expect_rejected_without_half_install(const std::string& path,
-                                          const char* what) {
-  serve::AffineRankModel model(2.5, -1.5);
-  const auto st = model.load_artifact(path);
-  EXPECT_FALSE(st.ok()) << what << ": corrupt artifact loaded successfully";
-  EXPECT_DOUBLE_EQ(model.scale(), 2.5) << what;
-  EXPECT_DOUBLE_EQ(model.offset(), -1.5) << what;
-}
-
-TEST(V3ArtifactFuzz, EveryTruncationIsRejectedWithoutHalfInstall) {
-  const std::string good = "/tmp/ranknet_v3_fuzz_base.bin";
-  const std::string cut = "/tmp/ranknet_v3_fuzz_trunc.bin";
-  emit_trainer_artifact(good);
-  const auto clean = read_file(good);
-  ASSERT_GT(clean.size(), 40u);
-  for (std::size_t keep = 0; keep < clean.size(); ++keep) {
-    write_file(cut, {clean.begin(),
-                     clean.begin() + static_cast<std::ptrdiff_t>(keep)});
-    expect_rejected_without_half_install(
-        cut, ("truncated to " + std::to_string(keep)).c_str());
-  }
-  // The untouched artifact still loads — the rejections were earned.
-  serve::AffineRankModel model;
-  EXPECT_TRUE(model.load_artifact(good).ok());
-}
-
-TEST(V3ArtifactFuzz, RandomBitFlipsAreRejectedWithoutHalfInstall) {
-  const std::string good = "/tmp/ranknet_v3_fuzz_base2.bin";
-  const std::string flip = "/tmp/ranknet_v3_fuzz_flip.bin";
-  emit_trainer_artifact(good);
-  const auto clean = read_file(good);
-  util::Rng rng(0xf11b);
-  for (int iter = 0; iter < 256; ++iter) {
-    auto corrupt = clean;
-    const auto byte = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(clean.size()) - 1));
-    const int bit = static_cast<int>(rng.uniform_int(0, 7));
-    corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
-    write_file(flip, corrupt);
-    expect_rejected_without_half_install(
-        flip,
-        ("bit " + std::to_string(bit) + " of byte " + std::to_string(byte))
-            .c_str());
-  }
+/// Per-process scratch path: ctest runs this binary whole (the online
+/// suite) next to each of its cases on their own, so two processes must
+/// never share a file.
+std::string fuzz_path(const std::string& name) {
+  return "/tmp/ranknet_v3_fuzz_" + name + "." + std::to_string(::getpid()) +
+         ".bin";
 }
 
 /// Rewrite a v2+ artifact's payload with an HONESTLY regenerated size and
@@ -510,10 +462,124 @@ void rewrite_payload(const std::string& path, std::vector<char> payload) {
   write_file(path, out);
 }
 
+/// Turn the v2 artifact at `path` into its v3 twin, the layout earlier
+/// releases wrote: schema version 3 and a one-entry calibration section
+/// (u64 count, then name, f64 absmax, f64 zero point) after the
+/// parameters. The reader validates that section and ignores it.
+void make_v3_twin(const std::string& path) {
+  auto file = read_file(path);
+  ASSERT_GE(file.size(), 28u);
+  const std::uint32_t v3 = 3;
+  std::memcpy(file.data() + 8, &v3, sizeof(v3));
+  std::vector<char> payload(file.begin() + 28, file.end());
+  const auto append = [&payload](const void* p, std::size_t n) {
+    const char* c = static_cast<const char*>(p);
+    payload.insert(payload.end(), c, c + n);
+  };
+  const std::uint64_t count = 1;
+  const std::string name = "affine";
+  const std::uint64_t name_len = name.size();
+  const double absmax = 33.0, zero_point = 0.0;
+  append(&count, sizeof(count));
+  append(&name_len, sizeof(name_len));
+  append(name.data(), name.size());
+  append(&absmax, sizeof(absmax));
+  append(&zero_point, sizeof(zero_point));
+  write_file(path, file);
+  rewrite_payload(path, std::move(payload));
+}
+
+/// A v3 affine artifact built the way earlier trainers emitted them.
+std::string emit_v3_artifact(const std::string& path) {
+  serve::AffineRankModel::save_artifact(path, 1.25, -0.5);
+  make_v3_twin(path);
+  return path;
+}
+
+/// Assert that loading `path` fails and leaves the model's coefficients
+/// exactly as they were — the staged-commit contract.
+void expect_rejected_without_half_install(const std::string& path,
+                                          const char* what) {
+  serve::AffineRankModel model(2.5, -1.5);
+  const auto st = model.load_artifact(path);
+  EXPECT_FALSE(st.ok()) << what << ": corrupt artifact loaded successfully";
+  EXPECT_DOUBLE_EQ(model.scale(), 2.5) << what;
+  EXPECT_DOUBLE_EQ(model.offset(), -1.5) << what;
+}
+
+TEST(V3Artifact, LoadsWeightsBitIdenticalToItsV2Twin) {
+  util::Rng rng(53);
+  const auto random_param = [&rng] {
+    tensor::Matrix m(3, 4);
+    for (auto& v : m.flat()) v = rng.uniform() - 0.5;
+    return nn::Parameter("roundtrip.weight", std::move(m));
+  };
+  nn::Parameter p = random_param();
+  const std::string v2 = fuzz_path("twin_v2");
+  const std::string v3 = fuzz_path("twin_v3");
+  nn::save_params(v2, {&p});
+  nn::save_params(v3, {&p});
+  make_v3_twin(v3);
+  ASSERT_NE(read_file(v2), read_file(v3));
+
+  nn::Parameter from_v2 = random_param();
+  nn::Parameter from_v3 = random_param();
+  ASSERT_TRUE(nn::try_load_params(v2, {&from_v2}).ok());
+  const auto st = nn::try_load_params(v3, {&from_v3});
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  ASSERT_TRUE(from_v3.value.same_shape(p.value));
+  EXPECT_EQ(std::memcmp(from_v3.value.data(), from_v2.value.data(),
+                        p.value.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(from_v3.value.data(), p.value.data(),
+                        p.value.size() * sizeof(double)),
+            0);
+  std::filesystem::remove(v2);
+  std::filesystem::remove(v3);
+}
+
+TEST(V3ArtifactFuzz, EveryTruncationIsRejectedWithoutHalfInstall) {
+  const std::string good = emit_v3_artifact(fuzz_path("base"));
+  const std::string cut = fuzz_path("trunc");
+  const auto clean = read_file(good);
+  ASSERT_GT(clean.size(), 40u);
+  for (std::size_t keep = 0; keep < clean.size(); ++keep) {
+    write_file(cut, {clean.begin(),
+                     clean.begin() + static_cast<std::ptrdiff_t>(keep)});
+    expect_rejected_without_half_install(
+        cut, ("truncated to " + std::to_string(keep)).c_str());
+  }
+  // The untouched artifact still loads — the rejections were earned.
+  serve::AffineRankModel model;
+  EXPECT_TRUE(model.load_artifact(good).ok());
+  std::filesystem::remove(good);
+  std::filesystem::remove(cut);
+}
+
+TEST(V3ArtifactFuzz, RandomBitFlipsAreRejectedWithoutHalfInstall) {
+  const std::string good = emit_v3_artifact(fuzz_path("base2"));
+  const std::string flip = fuzz_path("flip");
+  const auto clean = read_file(good);
+  util::Rng rng(0xf11b);
+  for (int iter = 0; iter < 256; ++iter) {
+    auto corrupt = clean;
+    const auto byte = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(clean.size()) - 1));
+    const int bit = static_cast<int>(rng.uniform_int(0, 7));
+    corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
+    write_file(flip, corrupt);
+    expect_rejected_without_half_install(
+        flip,
+        ("bit " + std::to_string(bit) + " of byte " + std::to_string(byte))
+            .c_str());
+  }
+  std::filesystem::remove(good);
+  std::filesystem::remove(flip);
+}
+
 TEST(V3ArtifactFuzz, RegeneratedChecksumAdversariesAreStillRejected) {
-  const std::string good = "/tmp/ranknet_v3_fuzz_base3.bin";
-  const std::string adv = "/tmp/ranknet_v3_fuzz_adv.bin";
-  emit_trainer_artifact(good);
+  const std::string good = emit_v3_artifact(fuzz_path("base3"));
+  const std::string adv = fuzz_path("adv");
   const auto file = read_file(good);
   const std::vector<char> payload(file.begin() + 28, file.end());
 
@@ -542,7 +608,8 @@ TEST(V3ArtifactFuzz, RegeneratedChecksumAdversariesAreStillRejected) {
     rewrite_payload(adv, p);
     expect_rejected_without_half_install(adv, "shrunk calibration count");
   }
-  // (c) nonzero int8 zero point: symmetric-only runtime must refuse.
+  // (c) nonzero zero point: the writer only ever emitted symmetric ranges,
+  // so the reader must refuse anything else.
   {
     auto p = payload;
     double zp = 1.0;
@@ -561,6 +628,8 @@ TEST(V3ArtifactFuzz, RegeneratedChecksumAdversariesAreStillRejected) {
     rewrite_payload(adv, p);
     expect_rejected_without_half_install(adv, "inflated calibration count");
   }
+  std::filesystem::remove(good);
+  std::filesystem::remove(adv);
 }
 
 TEST(V3ArtifactFuzz, RegistrySwapStaysAtomicUnderCorruptArtifacts) {
@@ -576,12 +645,12 @@ TEST(V3ArtifactFuzz, RegistrySwapStaysAtomicUnderCorruptArtifacts) {
         return std::shared_ptr<core::RaceForecaster>(std::move(model));
       },
       cfg);
-  const std::string good = "/tmp/ranknet_v3_fuzz_reg_good.bin";
-  const std::string cand = "/tmp/ranknet_v3_fuzz_reg_cand.bin";
+  const std::string good = fuzz_path("reg_good");
+  const std::string cand = fuzz_path("reg_cand");
   serve::AffineRankModel::save_artifact(good, 1.0, 0.0);
   ASSERT_TRUE(registry.init(good).ok());
 
-  emit_trainer_artifact(cand);
+  emit_v3_artifact(cand);
   const auto clean = read_file(cand);
   util::Rng rng(0xabad);
   for (int iter = 0; iter < 32; ++iter) {
@@ -600,10 +669,12 @@ TEST(V3ArtifactFuzz, RegistrySwapStaysAtomicUnderCorruptArtifacts) {
     EXPECT_EQ(registry.active_version(), 1u)
         << "corrupt candidate disturbed the active model";
   }
-  // The intact trainer artifact promotes: the registry factory accepts the
-  // v3 calibration section end to end.
+  // The intact v3 artifact promotes: the registry factory accepts the
+  // calibration section end to end.
   write_file(cand, clean);
   EXPECT_EQ(registry.swap(cand).action, serve::wire::SwapAction::kPromoted);
+  std::filesystem::remove(good);
+  std::filesystem::remove(cand);
 }
 
 // ---------------------------------------------------------------------------
@@ -753,9 +824,23 @@ TEST(IncrementalLstm, FitterEmitsLoadableV3ArtifactAndLeavesBaseUntouched) {
   EXPECT_NE(fitted.value().forecaster, nullptr);
   EXPECT_FALSE(fitted.value().summary.empty());
 
-  // The emitted artifact loads back into a same-shape model.
+  // The emitted artifact loads back into a same-shape model, and so does
+  // its v3 twin (the layout earlier releases' fitter wrote), with the same
+  // weights.
   core::LstmSeqModel reloaded(mcfg);
   EXPECT_TRUE(nn::try_load_params(path, reloaded.params()).ok());
+  make_v3_twin(path);
+  core::LstmSeqModel reloaded_v3(mcfg);
+  ASSERT_TRUE(nn::try_load_params(path, reloaded_v3.params()).ok());
+  const auto v2_params = reloaded.params();
+  const auto v3_params = reloaded_v3.params();
+  for (std::size_t i = 0; i < v2_params.size(); ++i) {
+    const auto& m = v2_params[i]->value;
+    EXPECT_EQ(std::memcmp(v3_params[i]->value.data(), m.data(),
+                          m.size() * sizeof(double)),
+              0)
+        << v2_params[i]->name;
+  }
 
   // The base (serving) model's weights were never touched by the fit.
   auto params_now = base->params();

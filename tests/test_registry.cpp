@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/registry.hpp"
 #include "obs/metrics.hpp"
 #include "serve/affine_model.hpp"
@@ -26,6 +28,10 @@ namespace {
 using namespace ranknet;
 using core::ModelZoo;
 namespace wire = serve::wire;
+
+#ifndef RANKNET_ARTIFACTS_DIR
+#error "RANKNET_ARTIFACTS_DIR must point at the committed artifacts/ (set by CMake)"
+#endif
 
 TEST(ZooConfig, ArtifactsDirDefaultsAndEnvOverride) {
   core::ZooConfig cfg;
@@ -96,6 +102,49 @@ TEST(DefaultTrainConfig, FastEnvShrinksBudget) {
   ::unsetenv("RANKNET_FAST");
   EXPECT_LT(fast.max_epochs, base.max_epochs);
   EXPECT_LT(fast.max_windows, base.max_windows);
+}
+
+TEST(ModelZoo, CommittedV1ArtifactsLoadWithoutTraining) {
+  // The committed Indy500 rank (LSTM) and pit (MLP) weights predate the
+  // checksummed format: bare "RKNET-01" magic. The zoo must load them as
+  // they are. Loading works on a copy so a regression that retrains can
+  // be seen (a new file appears) without touching the source tree.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("ranknet_v1_artifacts." + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  for (const char* name :
+       {"Indy500-9ae0cc01a4229fcc.bin", "Indy500-45c22c32603922b0.bin"}) {
+    const fs::path src = fs::path(RANKNET_ARTIFACTS_DIR) / name;
+    std::ifstream in(src, std::ios::binary);
+    std::uint64_t magic = 0;
+    in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
+    ASSERT_EQ(magic, 0x524b4e45542d3031ULL) << src << " is not a v1 file";
+    fs::copy_file(src, dir / name);
+  }
+
+  core::ZooConfig zc;
+  zc.artifacts_dir = dir.string();
+  zc.train = core::TrainConfig{};  // the budget the committed weights used
+  ModelZoo zoo(zc);
+  const auto ds = sim::build_event_dataset("Indy500");
+  const auto rank = zoo.rank_model(ds);
+  const auto pit = zoo.pit_model(ds);
+  ASSERT_NE(rank.model, nullptr);
+  ASSERT_NE(pit, nullptr);
+  EXPECT_TRUE(rank.stats.train_loss.empty()) << "the zoo retrained";
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir), fs::directory_iterator{}),
+            2)
+      << "the zoo wrote a new artifact instead of loading the v1 files";
+  auto params = rank.model->params();
+  for (auto* p : pit->params()) params.push_back(p);
+  for (const auto* p : params) {
+    for (const double v : p->value.flat()) {
+      ASSERT_TRUE(std::isfinite(v)) << p->name;
+    }
+  }
+  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
