@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the compute kernels underneath
-// RankNet training and inference: GEMM at LSTM-relevant shapes, the
-// pointwise gate kernels, a full LSTM cell step (training path and fused
-// inference session), the dense/Gaussian head, one training step, and the
-// Algorithm-2 sampling rollout.
+// RankNet training and inference: GEMM at LSTM-relevant shapes (including
+// the MC decode's), the pointwise gate kernels, a full LSTM cell step
+// (training path and fused inference session), the dense/Gaussian head, one
+// training step, one race-wide encoder trace, and the Algorithm-2 sampling
+// rollout.
 //
 // Every kernel-level benchmark runs once per CPU-supported dispatch variant
 // (tensor/simd_kernels.hpp) under names like `BM_GemmLstmGates<avx2>/256`,
@@ -83,6 +84,25 @@ void BM_GemmLstmGates(benchmark::State& state, tk::Variant variant) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(batch));
   state.counters["GFLOP/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * 2.0 * batch * 53 * 160,
+      benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
+}
+
+void BM_GemmDecode(benchmark::State& state, tk::Variant variant) {
+  // The MC decode's LSTM GEMM: rows = 33 cars x 32 samples, k = the packed
+  // [x | h] width of layer 0 (54) or layer 1 (80), n = 4 x 40 gates.
+  use_variant(variant);
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  util::Rng rng(10);
+  const Matrix x = Matrix::randn(m, k, rng);
+  const Matrix w = Matrix::randn(k, 160, rng);
+  Matrix out(m, 160);
+  for (auto _ : state) {
+    tensor::gemm(1.0, x, false, w, false, 0.0, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 2.0 * m * k * 160,
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
 
@@ -222,6 +242,36 @@ void BM_TrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainStep)->Arg(32)->Arg(256)->Unit(benchmark::kMillisecond);
 
+void BM_RaceTrace(benchmark::State& state, tk::Variant variant) {
+  // RankNetForecaster::prepare's encoder pass: one batched trace over a
+  // 200-lap race, one row per car, with a third of the cars retired early
+  // (ragged lap counts).
+  use_variant(variant);
+  const auto cars = static_cast<std::size_t>(state.range(0));
+  core::LstmSeqModel model(bench_model_config());
+  model.set_scaler(features::StandardScaler(17.0, 9.0));
+  util::Rng rng(7);
+  std::vector<std::vector<double>> history(cars);
+  std::vector<std::vector<std::vector<double>>> covs(cars);
+  std::vector<int> idx(cars);
+  for (std::size_t r = 0; r < cars; ++r) {
+    const std::size_t laps = r % 3 == 0 ? 120 + r : 200;
+    idx[r] = static_cast<int>(r);
+    history[r].resize(laps);
+    covs[r].assign(laps, std::vector<double>(9));
+    for (std::size_t t = 0; t < laps; ++t) {
+      history[r][t] = rng.uniform(1, 33);
+      for (auto& c : covs[r][t]) c = rng.uniform(0, 1);
+    }
+  }
+  StepAccounting acct;
+  for (auto _ : state) {
+    auto trace = model.trace(history, covs, idx);
+    benchmark::DoNotOptimize(trace.data());
+  }
+  acct.finish(state);
+}
+
 void BM_SamplingRollout(benchmark::State& state, tk::Variant variant) {
   // The fig10 forecast hot path: K samples advanced in lockstep through
   // the stacked LSTM decode + Gaussian head (Algorithm 2). us/sample in
@@ -264,6 +314,9 @@ void register_variant_benchmarks() {
     benchmark::RegisterBenchmark(("BM_GemmLstmGates" + tag).c_str(),
                                  BM_GemmLstmGates, v)
         ->Arg(32)->Arg(256)->Arg(3200);
+    benchmark::RegisterBenchmark(("BM_GemmDecode" + tag).c_str(),
+                                 BM_GemmDecode, v)
+        ->Args({1056, 54})->Args({1056, 80});
     benchmark::RegisterBenchmark(("BM_Gemv" + tag).c_str(), BM_Gemv, v)
         ->Arg(32)->Arg(3200);
     benchmark::RegisterBenchmark(("BM_SigmoidKernel" + tag).c_str(),
@@ -281,6 +334,9 @@ void register_variant_benchmarks() {
     benchmark::RegisterBenchmark(("BM_GaussianHead" + tag).c_str(),
                                  BM_GaussianHead, v)
         ->Arg(32)->Arg(3300);
+    benchmark::RegisterBenchmark(("BM_RaceTrace" + tag).c_str(),
+                                 BM_RaceTrace, v)
+        ->Arg(33)->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark(("BM_SamplingRollout" + tag).c_str(),
                                  BM_SamplingRollout, v)
         ->Arg(330)->Arg(3300)->Unit(benchmark::kMillisecond);

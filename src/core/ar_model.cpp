@@ -241,13 +241,8 @@ std::vector<LstmSeqModel::StackState> LstmSeqModel::trace(
     const std::vector<std::vector<std::vector<double>>>& covs,
     const std::vector<int>& car_index) const {
   const std::size_t rows = history.size();
-  if (rows == 0) return {};
-  const std::size_t laps = history[0].size();
-  for (const auto& h : history) {
-    if (h.size() != laps) {
-      throw std::invalid_argument("trace: ragged history");
-    }
-  }
+  std::size_t laps = 0;
+  for (const auto& h : history) laps = std::max(laps, h.size());
   std::vector<StackState> out;
   if (laps < 2) return out;
   out.reserve(laps - 1);
@@ -264,12 +259,16 @@ std::vector<LstmSeqModel::StackState> LstmSeqModel::trace(
   }
 
   const std::size_t td = config_.target_dim;
-  StackState cur(layers_.size());
   for (std::size_t t = 0; t + 1 < laps; ++t) {
     for (std::size_t r = 0; r < rows; ++r) {
+      auto row = stack[0].x_row(r);
+      if (t + 1 >= history[r].size()) {
+        // This row's sequence has ended; its state is never read again.
+        std::fill(row.begin(), row.end(), 0.0);
+        continue;
+      }
       // Multivariate targets carry their aux dims in leading covariates
       // (same convention as make_batch); univariate is just the rank.
-      auto row = stack[0].x_row(r);
       row[0] = scaler_.transform(history[r][t]);
       for (std::size_t j = 1; j < td; ++j) {
         // Zero-fill short rows, same as the covariate packing below — a
@@ -286,10 +285,10 @@ std::vector<LstmSeqModel::StackState> LstmSeqModel::trace(
       }
     }
     run_stack_step(stack);
+    auto& state = out.emplace_back(layers_.size());
     for (std::size_t l = 0; l < stack.size(); ++l) {
-      stack[l].store_state(cur[l]);
+      stack[l].store_state(state[l]);
     }
-    out.push_back(cur);
   }
   return out;
 }

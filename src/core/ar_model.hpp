@@ -94,7 +94,11 @@ class LstmSeqModel : public nn::Layer {
   /// z_1..z_T per row; covs[r][t] the covariate vector of lap t+1 (0-based).
   /// Returned trace[t] is the state after consuming input
   /// [z_t, x_{t+1}], i.e. the state from which lap t+2 would be predicted;
-  /// trace has T-1 entries.
+  /// trace has T-1 entries for the longest row's T. Rows may be ragged: a
+  /// row of T_r laps is fed zeros from step T_r - 1 on, so only its
+  /// trace[t] rows with t < T_r - 1 are meaningful. The kernels are
+  /// row-independent, so those rows equal a trace of that row alone, bit
+  /// for bit.
   std::vector<StackState> trace(
       const std::vector<std::vector<double>>& history,
       const std::vector<std::vector<std::vector<double>>>& covs,

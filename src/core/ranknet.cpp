@@ -79,18 +79,30 @@ const RankNetForecaster::RaceCache& RankNetForecaster::race_cache(
     const telemetry::RaceLog& race) {
   if (const RaceCache* hit = find_cache(race)) return *hit;
 
-  RaceCache rc;
-  rc.shape = race_shape(race);
+  // One batched trace over the race, one row per car (ragged lap counts
+  // are fine: see LstmSeqModel::trace).
+  std::vector<int> ids;
+  std::vector<std::vector<double>> histories;
+  std::vector<features::StatusStreams> streams;
+  std::vector<std::vector<std::vector<double>>> covariates;
+  std::vector<int> car_index;
   for (int car_id : race.car_ids()) {
     const auto& car = race.car(car_id);
     if (car.laps() < 3) continue;
-    CarCache cc;
-    cc.history = car.rank;
-    cc.streams = features::StatusStreams::from_race(race, car_id);
-    cc.covariates = features::build_covariates(cc.streams, cov_config_);
-    cc.trace = model_->trace({cc.history}, {cc.covariates},
-                             {vocab_.index(car_id)});
-    rc.cars.emplace(car_id, std::move(cc));
+    ids.push_back(car_id);
+    histories.push_back(car.rank);
+    streams.push_back(features::StatusStreams::from_race(race, car_id));
+    covariates.push_back(
+        features::build_covariates(streams.back(), cov_config_));
+    car_index.push_back(vocab_.index(car_id));
+  }
+  RaceCache rc;
+  rc.shape = race_shape(race);
+  rc.trace = model_->trace(histories, covariates, car_index);
+  for (std::size_t r = 0; r < ids.size(); ++r) {
+    rc.cars.emplace(ids[r], CarCache{std::move(histories[r]),
+                                     std::move(streams[r]),
+                                     std::move(covariates[r]), r});
   }
   return cache_.insert_or_assign(race.id(), std::move(rc)).first->second;
 }
@@ -111,12 +123,10 @@ std::vector<int> RankNetForecaster::forecast_cars(
     const telemetry::RaceLog& race, int origin_lap) {
   const auto& rc = race_cache(race);
   const auto origin = static_cast<std::size_t>(origin_lap);
-  // Cars with a trace entry at the forecast origin.
+  // Cars whose trace rows reach the forecast origin: laps - 1 >= origin - 1.
   std::vector<int> cars;
   for (const auto& [car_id, cc] : rc.cars) {
-    if (cc.history.size() >= origin && cc.trace.size() >= origin - 1) {
-      cars.push_back(car_id);
-    }
+    if (cc.history.size() >= origin) cars.push_back(car_id);
   }
   return cars;
 }
@@ -357,7 +367,7 @@ RaceSamples RankNetForecaster::forecast_partition(
       const std::size_t row = branch_rep[b];
       const auto& cc = rc.cars.at(cars[row / s_count]);
       per_branch_states.push_back(
-          LstmSeqModel::replicate_state(cc.trace[trace_idx], 0, 1));
+          LstmSeqModel::replicate_state(rc.trace[trace_idx], cc.row, 1));
       branch_car_index[b] = car_index[row];
       for (int t = 0; t < tail; ++t) {
         btail_z[static_cast<std::size_t>(t)][b] =
@@ -388,7 +398,8 @@ RaceSamples RankNetForecaster::forecast_partition(
     for (std::size_t c = 0; c < cars.size(); ++c) {
       const auto& cc = rc.cars.at(cars[c]);
       per_car_states.push_back(
-          LstmSeqModel::replicate_state(cc.trace[trace_idx], 0, s_count));
+          LstmSeqModel::replicate_state(rc.trace[trace_idx], cc.row,
+                                        s_count));
     }
     auto state = LstmSeqModel::concat_states(per_car_states);
     per_car_states.clear();

@@ -92,10 +92,14 @@ class RankNetForecaster : public RaceForecaster,
     std::vector<double> history;  // observed ranks
     features::StatusStreams streams;
     std::vector<std::vector<double>> covariates;
-    std::vector<LstmSeqModel::StackState> trace;
+    std::size_t row = 0;  // this car's row in RaceCache::trace
   };
   struct RaceCache {
     std::map<int, CarCache> cars;
+    /// The race's LSTM trace, one row per cached car (LstmSeqModel::trace
+    /// over all of them at once): trace[t] is the state that predicts lap
+    /// t + 2. A car's rows are valid for t < its laps - 1.
+    std::vector<LstmSeqModel::StackState> trace;
     /// (car id, laps) of every car of the race the traces were built from.
     std::vector<std::pair<int, std::size_t>> shape;
   };

@@ -30,7 +30,11 @@
 namespace ranknet::tensor {
 
 /// C = alpha * op(A) * op(B) + beta * C, where op is optional transpose.
-/// Blocked and OpenMP-parallel over rows of C.
+/// The untransposed form (the only one on the decode path) runs the
+/// dispatched gemm_nn: the scalar reference loop, or the avx2 variant's
+/// register-tiled, column-panel-ordered kernel. The transposed forms are
+/// plain training-path loops. Every form splits the rows of C over OpenMP
+/// threads and keeps each element's sequential-k accumulation.
 void gemm(double alpha, ConstMatrixView a, bool trans_a, ConstMatrixView b,
           bool trans_b, double beta, MatrixView c);
 void gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,

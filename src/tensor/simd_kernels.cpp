@@ -1,7 +1,8 @@
 // Dispatch-table plumbing for the SIMD microkernel layer: variant
 // detection, RANKNET_KERNEL override handling, the scalar table, and the
 // per-variant obs counters. The actual kernel bodies live in kernels.cpp
-// (scalar) and simd_kernels_avx2.cpp (AVX2+FMA).
+// (scalar), simd_kernels_avx2.cpp (AVX2+FMA) and simd_kernels_avx512.cpp
+// (the avx2 variant's zmm GEMM tile).
 #include "tensor/simd_kernels.hpp"
 
 #include <atomic>
@@ -131,6 +132,15 @@ void note_call(Variant v) {
 }  // namespace ranknet::tensor::kernels
 
 namespace ranknet::tensor::detail {
+
+bool zmm_tile_supported() {
+#if defined(__x86_64__) || defined(__i386__)
+  // CPU first: zmm_tile_built() lives in the AVX-512 translation unit.
+  return __builtin_cpu_supports("avx512f") && zmm_tile_built();
+#else
+  return false;
+#endif
+}
 
 const kernels::Dispatch& scalar_table() {
   // The fused entries stay null: the scalar variant runs the staged

@@ -33,6 +33,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "tensor/simd_gemm.hpp"
+
 namespace ranknet::tensor::detail {
 
 namespace {
@@ -131,94 +133,29 @@ inline void map_inplace(double* x, std::size_t n, F f) {
 
 // ---- GEMM ----------------------------------------------------------------
 
-// Register-blocked C = alpha*A*B + beta*C panels: MR rows x (NV*4) columns
-// of C accumulate in ymm registers while the k loop streams B row panels —
-// the B traffic that dominates the scalar kernel is amortized over MR rows.
-// Every accumulator follows the strict sequential-k FMA chain of its
-// element; alpha is pre-multiplied into the broadcast A scalar exactly as
-// the scalar kernel does.
-
-template <int MR, int NV>
-inline void gemm_panel(double alpha, const double* const* arow,
-                       const double* b, double beta, double* const* crow,
-                       std::size_t k, std::size_t n, std::size_t j) {
-  __m256d acc[MR][NV];
-  for (int r = 0; r < MR; ++r) {
-    for (int v = 0; v < NV; ++v) {
-      if (beta == 0.0) {
-        acc[r][v] = _mm256_setzero_pd();
-      } else {
-        const __m256d cv = _mm256_loadu_pd(crow[r] + j + 4 * v);
-        acc[r][v] =
-            beta == 1.0 ? cv : _mm256_mul_pd(_mm256_set1_pd(beta), cv);
-      }
-    }
+// The ymm build of the shared tile loop (simd_gemm.hpp): 6 rows x 2 vectors
+// (8 columns) keeps 12 independent FMA chains live per tile — enough to
+// cover the 4-cycle FMA latency at 2 issues/cycle — while fitting in the
+// 16 ymm registers (12 accumulators + 2 B vectors + 1 broadcast).
+struct Ymm {
+  using Reg = __m256d;
+  using Mask = __m256i;
+  static constexpr std::size_t kLanes = 4;
+  static constexpr int kRows = 6;
+  static Reg zero() { return _mm256_setzero_pd(); }
+  static Reg set1(double x) { return _mm256_set1_pd(x); }
+  static Reg load(const double* p) { return _mm256_loadu_pd(p); }
+  static Reg load(const double* p, Mask m) {
+    return _mm256_maskload_pd(p, m);
   }
-  for (std::size_t p = 0; p < k; ++p) {
-    const double* bp = b + p * n + j;
-    __m256d bv[NV];
-    for (int v = 0; v < NV; ++v) bv[v] = _mm256_loadu_pd(bp + 4 * v);
-    for (int r = 0; r < MR; ++r) {
-      const __m256d av = _mm256_set1_pd(alpha * arow[r][p]);
-      for (int v = 0; v < NV; ++v) {
-        acc[r][v] = _mm256_fmadd_pd(av, bv[v], acc[r][v]);
-      }
-    }
+  static void store(double* p, Reg r) { _mm256_storeu_pd(p, r); }
+  static void store(double* p, Mask m, Reg r) {
+    _mm256_maskstore_pd(p, m, r);
   }
-  for (int r = 0; r < MR; ++r) {
-    for (int v = 0; v < NV; ++v) {
-      _mm256_storeu_pd(crow[r] + j + 4 * v, acc[r][v]);
-    }
-  }
-}
-
-template <int MR>
-inline void gemm_panel_masked(double alpha, const double* const* arow,
-                              const double* b, double beta,
-                              double* const* crow, std::size_t k,
-                              std::size_t n, std::size_t j, __m256i mask) {
-  __m256d acc[MR];
-  for (int r = 0; r < MR; ++r) {
-    if (beta == 0.0) {
-      acc[r] = _mm256_setzero_pd();
-    } else {
-      const __m256d cv = _mm256_maskload_pd(crow[r] + j, mask);
-      acc[r] = beta == 1.0 ? cv : _mm256_mul_pd(_mm256_set1_pd(beta), cv);
-    }
-  }
-  for (std::size_t p = 0; p < k; ++p) {
-    const __m256d bv = _mm256_maskload_pd(b + p * n + j, mask);
-    for (int r = 0; r < MR; ++r) {
-      acc[r] = _mm256_fmadd_pd(_mm256_set1_pd(alpha * arow[r][p]), bv,
-                               acc[r]);
-    }
-  }
-  for (int r = 0; r < MR; ++r) _mm256_maskstore_pd(crow[r] + j, mask, acc[r]);
-}
-
-template <int MR>
-inline void gemm_rows(double alpha, const double* a, const double* b,
-                      double beta, double* c, std::size_t i, std::size_t k,
-                      std::size_t n) {
-  const double* arow[MR];
-  double* crow[MR];
-  for (int r = 0; r < MR; ++r) {
-    arow[r] = a + (i + r) * k;
-    crow[r] = c + (i + r) * n;
-  }
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    gemm_panel<MR, 2>(alpha, arow, b, beta, crow, k, n, j);
-  }
-  if (j + 4 <= n) {
-    gemm_panel<MR, 1>(alpha, arow, b, beta, crow, k, n, j);
-    j += 4;
-  }
-  if (j < n) {
-    gemm_panel_masked<MR>(alpha, arow, b, beta, crow, k, n, j,
-                          tail_mask(n - j));
-  }
-}
+  static Reg fmadd(Reg a, Reg b, Reg c) { return _mm256_fmadd_pd(a, b, c); }
+  static Reg mul(Reg a, Reg b) { return _mm256_mul_pd(a, b); }
+  static Mask tail(std::size_t r) { return tail_mask(r); }
+};
 
 /// n == 1 fast path: a strided GEMM degenerates into independent row dot
 /// products (the Gaussian head's mu/sigma projections). The dot vectorizes
@@ -251,43 +188,17 @@ void gemv_n1(double alpha, const double* a, const double* b, double beta,
   }
 }
 
+/// The table's gemm_nn: the GEMV fast path for n == 1, otherwise the
+/// register-tiled GEMM at the tile width chosen when the table was built.
+template <void (*Tiled)(double, const double*, const double*, double, double*,
+                        std::size_t, std::size_t, std::size_t)>
 void gemm_nn_avx2(double alpha, const double* a, const double* b, double beta,
                   double* c, std::size_t m, std::size_t k, std::size_t n) {
   if (n == 1) {
     gemv_n1(alpha, a, b, beta, c, m, k);
     return;
   }
-  // Iterate over ceil(m/6) row blocks (not i += 6) so OpenMP's static
-  // schedule partitions whole blocks and the remainder rows (m % 6) are
-  // handled exactly once by the matching smaller kernel. MR=6 with NV=2
-  // keeps 12 independent FMA chains live per panel — enough to cover the
-  // 4-cycle FMA latency at 2 issues/cycle — while fitting in registers
-  // (12 accumulators + 2 B vectors + 1 broadcast of 16 ymm).
-  const std::size_t mblocks = (m + 5) / 6;
-#pragma omp parallel for schedule(static)
-  for (std::size_t ib = 0; ib < mblocks; ++ib) {
-    const std::size_t i = ib * 6;
-    switch (std::min<std::size_t>(6, m - i)) {
-      case 6:
-        gemm_rows<6>(alpha, a, b, beta, c, i, k, n);
-        break;
-      case 5:
-        gemm_rows<5>(alpha, a, b, beta, c, i, k, n);
-        break;
-      case 4:
-        gemm_rows<4>(alpha, a, b, beta, c, i, k, n);
-        break;
-      case 3:
-        gemm_rows<3>(alpha, a, b, beta, c, i, k, n);
-        break;
-      case 2:
-        gemm_rows<2>(alpha, a, b, beta, c, i, k, n);
-        break;
-      default:
-        gemm_rows<1>(alpha, a, b, beta, c, i, k, n);
-        break;
-    }
-  }
+  Tiled(alpha, a, b, beta, c, m, k, n);
 }
 
 // ---- elementwise ---------------------------------------------------------
@@ -462,11 +373,17 @@ void dense_epilogue_avx2(double* y, const double* bias, std::size_t rows,
 
 }  // namespace
 
+void gemm_nn_ymm(double alpha, const double* a, const double* b, double beta,
+                 double* c, std::size_t m, std::size_t k, std::size_t n) {
+  gemm_nn_tiled<Ymm>(alpha, a, b, beta, c, m, k, n);
+}
+
 const kernels::Dispatch& avx2_table() {
   static const kernels::Dispatch t = [] {
     kernels::Dispatch d;
     d.variant = kernels::Variant::kAvx2;
-    d.gemm_nn = &gemm_nn_avx2;
+    d.gemm_nn = zmm_tile_supported() ? &gemm_nn_avx2<&gemm_nn_zmm>
+                                     : &gemm_nn_avx2<&gemm_nn_ymm>;
     d.sigmoid = &sigmoid_avx2;
     d.tanh = &tanh_avx2;
     d.hadamard = &hadamard_avx2;
@@ -484,6 +401,10 @@ const kernels::Dispatch& avx2_table() {
 #else  // non-x86: the avx2 table aliases scalar; cpu_supports() gates it.
 
 namespace ranknet::tensor::detail {
+void gemm_nn_ymm(double alpha, const double* a, const double* b, double beta,
+                 double* c, std::size_t m, std::size_t k, std::size_t n) {
+  gemm_nn_scalar(alpha, a, b, beta, c, m, k, n);
+}
 const kernels::Dispatch& avx2_table() { return scalar_table(); }
 }  // namespace ranknet::tensor::detail
 

@@ -29,6 +29,7 @@
 #include "simulator/season.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/simd_kernels.hpp"
+#include "tensor/simd_kernels_detail.hpp"
 #include "tensor/workspace.hpp"
 #include "util/rng.hpp"
 
@@ -432,6 +433,95 @@ TEST_F(KernelVariants, BatchedRowsBitIdenticalToSingleRows) {
                                           c_batch.begin() + (r + 1) * n);
       EXPECT_TRUE(BitEqual(batch_row, c_row))
           << tk::variant_name(v) << " row " << r;
+    }
+  }
+}
+
+// ---- GEMM register tiles: zmm ≡ ymm ≡ the sequential-k chain -----------
+
+/// The Dispatch::gemm_nn contract written out element by element: start
+/// from 0 (beta == 0), C (beta == 1) or beta*C, then one FMA per k term in
+/// ascending k with alpha*A[i][p] as the multiplier. This is the exact
+/// arithmetic of the 6 x 8 row-block-outer kernel the tiles replaced.
+void gemm_sequential_k(double alpha, const double* a, const double* b,
+                       double beta, double* c, std::size_t m, std::size_t k,
+                       std::size_t n) {
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double& cij = c[i * n + j];
+      double acc = beta == 0.0 ? 0.0 : (beta == 1.0 ? cij : beta * cij);
+      for (std::size_t p = 0; p < k; ++p) {
+        acc = std::fma(alpha * a[i * k + p], b[p * n + j], acc);
+      }
+      cij = acc;
+    }
+  }
+}
+
+using GemmFn = void (*)(double, const double*, const double*, double,
+                        double*, std::size_t, std::size_t, std::size_t);
+
+/// Runs `fn` and the sequential-k reference over every tile-remainder
+/// shape (row remainders of both tile heights, 1/2-vector panels and
+/// masked column tails of both widths, k from 1 to the decode's 80) and
+/// memcmps every output element.
+void expect_gemm_matches_sequential_k(GemmFn fn, const char* name) {
+  util::Rng rng(71);
+  std::size_t checked = 0;
+  for (std::size_t m = 1; m <= 25; ++m) {
+    for (const std::size_t n : {1, 3, 4, 7, 8, 9, 15, 16, 17, 160, 161}) {
+      for (const std::size_t k : {1, 5, 54, 80}) {
+        const auto a = random_vec(m * k, rng);
+        const auto b = random_vec(k * n, rng);
+        const auto c_init = random_vec(m * n, rng);
+        for (const double beta : {0.0, 1.0, 0.5}) {
+          for (const double alpha : {1.0, -0.7}) {
+            auto want = c_init, got = c_init;
+            gemm_sequential_k(alpha, a.data(), b.data(), beta, want.data(), m,
+                              k, n);
+            fn(alpha, a.data(), b.data(), beta, got.data(), m, k, n);
+            for (std::size_t e = 0; e < m * n; ++e) {
+              ASSERT_EQ(0, std::memcmp(&want[e], &got[e], sizeof(double)))
+                  << name << " m=" << m << " n=" << n << " k=" << k
+                  << " alpha=" << alpha << " beta=" << beta << " element "
+                  << e << ": " << got[e] << " vs " << want[e];
+            }
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 25u * 11 * 4 * 3 * 2);
+}
+
+TEST_F(KernelVariants, YmmGemmTileBitIdenticalToSequentialK) {
+  expect_gemm_matches_sequential_k(&tensor::detail::gemm_nn_ymm, "ymm");
+}
+
+TEST_F(KernelVariants, ZmmGemmTileBitIdenticalToSequentialK) {
+  if (!tensor::detail::zmm_tile_supported()) {
+    GTEST_SKIP() << "CPU lacks AVX-512F; zmm tile not built or not runnable";
+  }
+  expect_gemm_matches_sequential_k(&tensor::detail::gemm_nn_zmm, "zmm");
+}
+
+TEST_F(KernelVariants, Avx2TableGemmIsTheSequentialKTile) {
+  // The table's gemm_nn (zmm or ymm tile, picked when the table was built)
+  // for every n > 1; n == 1 takes the reassociating GEMV path instead.
+  const GemmFn table_gemm = tk::table(tk::Variant::kAvx2).gemm_nn;
+  util::Rng rng(72);
+  for (const std::size_t m : {1, 11, 12, 13, 1056}) {
+    for (const std::size_t n : {2, 160}) {
+      const std::size_t k = 54;
+      const auto a = random_vec(m * k, rng);
+      const auto b = random_vec(k * n, rng);
+      std::vector<double> want(m * n), got(m * n);
+      gemm_sequential_k(1.0, a.data(), b.data(), 0.0, want.data(), m, k, n);
+      table_gemm(1.0, a.data(), b.data(), 0.0, got.data(), m, k, n);
+      EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                               want.size() * sizeof(double)))
+          << "m=" << m << " n=" << n;
     }
   }
 }

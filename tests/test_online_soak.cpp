@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "obs/metrics.hpp"
 #include "serve/affine_model.hpp"
 #include "serve/model_registry.hpp"
@@ -99,8 +101,10 @@ struct ScenarioResult {
 /// seeded and time is a scripted counter, so two runs with the same
 /// `engine_threads` — or different ones — must produce identical traces.
 ScenarioResult run_scenario(std::size_t engine_threads) {
-  const std::string dir =
-      "/tmp/ranknet_online_soak_t" + std::to_string(engine_threads);
+  // Per process: ctest runs this binary whole next to each of its cases.
+  const std::string dir = "/tmp/ranknet_online_soak_t" +
+                          std::to_string(engine_threads) + "." +
+                          std::to_string(::getpid());
   std::filesystem::create_directories(dir);
 
   const auto before = CounterDeltas::snapshot();
@@ -257,6 +261,7 @@ ScenarioResult run_scenario(std::size_t engine_threads) {
             result.promoted + 1);
   EXPECT_EQ(after.registry_rolled_back - before.registry_rolled_back,
             result.rolled_back);
+  std::filesystem::remove_all(dir);
   return result;
 }
 

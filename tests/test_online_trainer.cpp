@@ -285,7 +285,31 @@ core::CandidateFitter fake_fitter(std::shared_ptr<FakeWorld> world) {
   };
 }
 
+/// Per-process scratch path under /tmp: ctest runs this binary whole (the
+/// online suite) next to each of its cases on their own, so two processes
+/// must never share a path.
+std::string scratch_path(const std::string& name, const std::string& ext) {
+  return "/tmp/ranknet_" + name + "." + std::to_string(::getpid()) + ext;
+}
+
+/// A scratch_path (file or directory) removed with everything under it
+/// when it goes out of scope.
+struct ScratchPath {
+  explicit ScratchPath(const std::string& name, const std::string& ext = "")
+      : path(scratch_path(name, ext)) {}
+  ~ScratchPath() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  ScratchPath(const ScratchPath&) = delete;
+  ScratchPath& operator=(const ScratchPath&) = delete;
+  const std::string path;
+};
+
 struct TrainerRig {
+  // Unique per rig: two rigs of one test may be alive at once.
+  inline static int rigs = 0;
+  ScratchPath dir{"trainer_rig_" + std::to_string(rigs++)};
   std::shared_ptr<FakeWorld> world = std::make_shared<FakeWorld>();
   telemetry::ReplayBuffer replay{{.capacity = 8}};
   FakeTarget target{world};
@@ -295,7 +319,8 @@ struct TrainerRig {
     cfg.train_window = 1;
     cfg.probe_window = 1;
     cfg.probe = small_probe();
-    cfg.artifact_dir = "/tmp";
+    std::filesystem::create_directories(dir.path);
+    cfg.artifact_dir = dir.path;
     trainer = std::make_unique<core::OnlineTrainer>(
         cfg, replay, fake_fitter(world), target,
         [w = world] { return w->active; });
@@ -434,12 +459,9 @@ void write_file(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Per-process scratch path: ctest runs this binary whole (the online
-/// suite) next to each of its cases on their own, so two processes must
-/// never share a file.
+/// The fuzz tests remove their files themselves.
 std::string fuzz_path(const std::string& name) {
-  return "/tmp/ranknet_v3_fuzz_" + name + "." + std::to_string(::getpid()) +
-         ".bin";
+  return scratch_path("v3_fuzz_" + name, ".bin");
 }
 
 /// Rewrite a v2+ artifact's payload with an HONESTLY regenerated size and
@@ -693,8 +715,10 @@ TEST(RollbackProperty, RegistryRollbackAlwaysRestoresPriorChampionBytes) {
         return std::shared_ptr<core::RaceForecaster>(std::move(model));
       },
       cfg);
-  const std::string a = "/tmp/ranknet_rb_prop_a.bin";
-  const std::string b = "/tmp/ranknet_rb_prop_b.bin";
+  const ScratchPath scratch_a("rb_prop_a", ".bin"),
+      scratch_b("rb_prop_b", ".bin");
+  const std::string& a = scratch_a.path;
+  const std::string& b = scratch_b.path;
 
   auto serve_bytes = [&] {
     auto model = registry.active();
@@ -818,7 +842,9 @@ TEST(IncrementalLstm, FitterEmitsLoadableV3ArtifactAndLeavesBaseUntouched) {
   for (const auto& r : races) {
     window.push_back(std::make_shared<const telemetry::RaceLog>(r));
   }
-  const std::string path = "/tmp/ranknet_incr_lstm.bin";
+  const ScratchPath scratch("incr_lstm", ".bin"),
+      scratch2("incr_lstm2", ".bin");
+  const std::string& path = scratch.path;
   auto fitted = fitter(window, 5, path);
   ASSERT_TRUE(fitted.ok()) << fitted.status().to_string();
   EXPECT_NE(fitted.value().forecaster, nullptr);
@@ -855,7 +881,7 @@ TEST(IncrementalLstm, FitterEmitsLoadableV3ArtifactAndLeavesBaseUntouched) {
   }
 
   // Determinism: the same window + seed re-fits to the same summary.
-  auto fitted2 = fitter(window, 5, "/tmp/ranknet_incr_lstm2.bin");
+  auto fitted2 = fitter(window, 5, scratch2.path);
   ASSERT_TRUE(fitted2.ok());
   EXPECT_EQ(fitted.value().summary, fitted2.value().summary);
 }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <set>
 
 #include "core/ranknet.hpp"
 #include "core/status_forecast.hpp"
@@ -155,6 +156,68 @@ TEST_F(ForecasterContract, TransformerForecasterContract) {
                                            features::CovariateConfig{},
                                            core::StatusSource::kJoint, "x"),
                std::invalid_argument);
+}
+
+// RankNetForecaster traces a whole race in one LstmSeqModel::trace call,
+// one row per car, over ragged lap counts. Every car's rows must equal the
+// trace of that car alone, bit for bit — here on a race with retired cars
+// and one car cut to 2 laps — and forecast eligibility keeps its rule.
+TEST_F(ForecasterContract, RaceWideTraceMatchesPerCarTraces) {
+  const int short_car = race_->car_ids().front();
+  std::vector<telemetry::LapRecord> records;
+  for (const auto& rec : race_->records()) {
+    if (rec.car_id != short_car || rec.lap <= 2) records.push_back(rec);
+  }
+  const telemetry::RaceLog race(race_->info(), records);
+  ASSERT_EQ(race.car(short_car).laps(), 2u);
+
+  const features::CovariateConfig cov_config{};
+  std::vector<std::vector<double>> histories;
+  std::vector<std::vector<std::vector<double>>> covariates;
+  std::vector<int> car_index;
+  std::set<std::size_t> lap_counts;
+  for (int car_id : race.car_ids()) {
+    histories.push_back(race.car(car_id).rank);
+    covariates.push_back(features::build_covariates(
+        features::StatusStreams::from_race(race, car_id), cov_config));
+    car_index.push_back(vocab_->index(car_id));
+    lap_counts.insert(race.car(car_id).laps());
+  }
+  ASSERT_GE(lap_counts.size(), 3u) << "race is not ragged enough";
+
+  const auto batched = model_->trace(histories, covariates, car_index);
+  ASSERT_EQ(batched.size(), *lap_counts.rbegin() - 1);
+  for (std::size_t r = 0; r < histories.size(); ++r) {
+    const auto alone =
+        model_->trace({histories[r]}, {covariates[r]}, {car_index[r]});
+    ASSERT_EQ(alone.size(), histories[r].size() - 1);
+    for (std::size_t t = 0; t < alone.size(); ++t) {
+      for (std::size_t l = 0; l < alone[t].size(); ++l) {
+        const std::size_t hidden = alone[t][l].h.cols();
+        ASSERT_EQ(0, std::memcmp(batched[t][l].h.data() + r * hidden,
+                                 alone[t][l].h.data(), hidden * sizeof(double)))
+            << "row " << r << " step " << t << " layer " << l;
+        ASSERT_EQ(0, std::memcmp(batched[t][l].c.data() + r * hidden,
+                                 alone[t][l].c.data(), hidden * sizeof(double)))
+            << "row " << r << " step " << t << " layer " << l;
+      }
+    }
+  }
+
+  // Eligible at an origin: at least 3 laps, and laps - 1 >= origin - 1.
+  core::RankNetForecaster f(model_, nullptr, *vocab_, cov_config,
+                            core::StatusSource::kOracle, "test");
+  for (const int origin : {2, 3, 50, 150, race.num_laps() - 5,
+                           race.num_laps()}) {
+    std::vector<int> want;
+    for (int car_id : race.car_ids()) {
+      const auto laps = race.car(car_id).laps();
+      if (laps >= 3 && laps >= static_cast<std::size_t>(origin)) {
+        want.push_back(car_id);
+      }
+    }
+    EXPECT_EQ(f.forecast_cars(race, origin), want) << "origin " << origin;
+  }
 }
 
 // A race re-uploaded under the same id with more laps (a live feed that
