@@ -16,6 +16,7 @@
 #include "ml/random_forest.hpp"
 #include "ml/svr.hpp"
 #include "simulator/season.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace ranknet::bench {
@@ -42,11 +43,14 @@ struct Profile {
   }
 };
 
+/// Task-A evaluation on every core: the engine's determinism contract keeps
+/// the metrics bit-identical to a one-thread run.
 inline core::TaskAConfig task_a_config(const Profile& p, int horizon = 2) {
   core::TaskAConfig cfg;
   cfg.horizon = horizon;
   cfg.num_samples = p.num_samples;
   cfg.origin_stride = p.origin_stride;
+  cfg.threads = static_cast<int>(util::ThreadPool::hardware_threads());
   return cfg;
 }
 

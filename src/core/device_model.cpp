@@ -5,6 +5,7 @@
 
 #include "core/ar_model.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/row_split.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -117,6 +118,8 @@ double class_device_seconds(const KernelClassStats& s, Kernel k,
 }  // namespace
 
 Workload measure_ranknet_workload(std::size_t batch_size, int reps) {
+  // The training series of Figs. 10-12: splits rows like run_training.
+  const tensor::TrainingScope scope;
   // RankNet-sized network on synthetic data (the real feature pipeline is
   // irrelevant for kernel accounting).
   SeqModelConfig config;

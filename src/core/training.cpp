@@ -8,6 +8,7 @@
 
 #include "nn/adam.hpp"
 #include "nn/serialize.hpp"
+#include "tensor/row_split.hpp"
 #include "util/logging.hpp"
 #include "util/string_util.hpp"
 #include "util/timer.hpp"
@@ -54,7 +55,8 @@ std::vector<features::SeqExample> subsample(
   return windows;
 }
 
-/// Generic epoch loop shared by the LSTM and Transformer trainers.
+/// Generic epoch loop shared by the LSTM and Transformer trainers. Batch
+/// training owns the machine, so its GEMMs split rows over the kernel pool.
 template <typename Model>
 TrainStats run_training(Model& model,
                         const std::vector<telemetry::RaceLog>& train_races,
@@ -62,6 +64,7 @@ TrainStats run_training(Model& model,
                         const features::CarVocab& vocab,
                         const features::WindowConfig& wcfg,
                         const TrainConfig& tcfg) {
+  const tensor::TrainingScope scope;
   util::Timer timer;
   util::Rng rng(tcfg.seed);
   model.set_scaler(fit_rank_scaler(train_races));

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "tensor/row_split.hpp"
 #include "tensor/simd_kernels_detail.hpp"
 #include "util/timer.hpp"
 
@@ -85,40 +86,42 @@ namespace detail {
 void gemm_nn_scalar(double alpha, const double* a, const double* b,
                     double beta, double* c, std::size_t m, std::size_t k,
                     std::size_t n) {
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < m; ++i) {
-    double* ci = c + i * n;
-    if (beta == 0.0) {
-      for (std::size_t j = 0; j < n; ++j) ci[j] = 0.0;
-    } else if (beta != 1.0) {
-      for (std::size_t j = 0; j < n; ++j) ci[j] *= beta;
-    }
-    const double* ai = a + i * k;
-    std::size_t p = 0;
-    for (; p + 4 <= k; p += 4) {
-      const double a0 = alpha * ai[p];
-      const double a1 = alpha * ai[p + 1];
-      const double a2 = alpha * ai[p + 2];
-      const double a3 = alpha * ai[p + 3];
-      const double* b0 = b + p * n;
-      const double* b1 = b0 + n;
-      const double* b2 = b1 + n;
-      const double* b3 = b2 + n;
-      for (std::size_t j = 0; j < n; ++j) {
-        double t = ci[j];
-        t += a0 * b0[j];
-        t += a1 * b1[j];
-        t += a2 * b2[j];
-        t += a3 * b3[j];
-        ci[j] = t;
+  split_rows(m, 1, std::uint64_t{m} * n * k, [&](std::size_t i0,
+                                                 std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      double* ci = c + i * n;
+      if (beta == 0.0) {
+        for (std::size_t j = 0; j < n; ++j) ci[j] = 0.0;
+      } else if (beta != 1.0) {
+        for (std::size_t j = 0; j < n; ++j) ci[j] *= beta;
+      }
+      const double* ai = a + i * k;
+      std::size_t p = 0;
+      for (; p + 4 <= k; p += 4) {
+        const double a0 = alpha * ai[p];
+        const double a1 = alpha * ai[p + 1];
+        const double a2 = alpha * ai[p + 2];
+        const double a3 = alpha * ai[p + 3];
+        const double* b0 = b + p * n;
+        const double* b1 = b0 + n;
+        const double* b2 = b1 + n;
+        const double* b3 = b2 + n;
+        for (std::size_t j = 0; j < n; ++j) {
+          double t = ci[j];
+          t += a0 * b0[j];
+          t += a1 * b1[j];
+          t += a2 * b2[j];
+          t += a3 * b3[j];
+          ci[j] = t;
+        }
+      }
+      for (; p < k; ++p) {
+        const double aip = alpha * ai[p];
+        const double* bp = b + p * n;
+        for (std::size_t j = 0; j < n; ++j) ci[j] += aip * bp[j];
       }
     }
-    for (; p < k; ++p) {
-      const double aip = alpha * ai[p];
-      const double* bp = b + p * n;
-      for (std::size_t j = 0; j < n; ++j) ci[j] += aip * bp[j];
-    }
-  }
+  });
 }
 
 void sigmoid_scalar(double* x, std::size_t n) {
@@ -163,51 +166,59 @@ namespace {
 // C = alpha*A^T*B + beta*C with A (k x m), B (k x n).
 void gemm_tn(double alpha, const double* a, const double* b, double beta,
              double* c, std::size_t m, std::size_t k, std::size_t n) {
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < m; ++i) {
-    double* ci = c + i * n;
-    if (beta == 0.0) {
-      for (std::size_t j = 0; j < n; ++j) ci[j] = 0.0;
-    } else if (beta != 1.0) {
-      for (std::size_t j = 0; j < n; ++j) ci[j] *= beta;
+  split_rows(m, 1, std::uint64_t{m} * n * k, [&](std::size_t i0,
+                                                 std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      double* ci = c + i * n;
+      if (beta == 0.0) {
+        for (std::size_t j = 0; j < n; ++j) ci[j] = 0.0;
+      } else if (beta != 1.0) {
+        for (std::size_t j = 0; j < n; ++j) ci[j] *= beta;
+      }
+      for (std::size_t p = 0; p < k; ++p) {
+        const double aip = alpha * a[p * m + i];
+        if (aip == 0.0) continue;
+        const double* bp = b + p * n;
+        for (std::size_t j = 0; j < n; ++j) ci[j] += aip * bp[j];
+      }
     }
-    for (std::size_t p = 0; p < k; ++p) {
-      const double aip = alpha * a[p * m + i];
-      if (aip == 0.0) continue;
-      const double* bp = b + p * n;
-      for (std::size_t j = 0; j < n; ++j) ci[j] += aip * bp[j];
-    }
-  }
+  });
 }
 
 // C = alpha*A*B^T + beta*C with A (m x k), B (n x k): dot products of rows.
 void gemm_nt(double alpha, const double* a, const double* b, double beta,
              double* c, std::size_t m, std::size_t k, std::size_t n) {
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* ai = a + i * k;
-    double* ci = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double* bj = b + j * k;
-      double acc = 0.0;
-      for (std::size_t p = 0; p < k; ++p) acc += ai[p] * bj[p];
-      ci[j] = alpha * acc + (beta == 0.0 ? 0.0 : beta * ci[j]);
+  split_rows(m, 1, std::uint64_t{m} * n * k, [&](std::size_t i0,
+                                                 std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      const double* ai = a + i * k;
+      double* ci = c + i * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        const double* bj = b + j * k;
+        double acc = 0.0;
+        for (std::size_t p = 0; p < k; ++p) acc += ai[p] * bj[p];
+        ci[j] = alpha * acc + (beta == 0.0 ? 0.0 : beta * ci[j]);
+      }
     }
-  }
+  });
 }
 
 // C = alpha*A^T*B^T + beta*C with A (k x m), B (n x k). Rare; simple loops.
 void gemm_tt(double alpha, const double* a, const double* b, double beta,
              double* c, std::size_t m, std::size_t k, std::size_t n) {
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < m; ++i) {
-    double* ci = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (std::size_t p = 0; p < k; ++p) acc += a[p * m + i] * b[j * k + p];
-      ci[j] = alpha * acc + (beta == 0.0 ? 0.0 : beta * ci[j]);
+  split_rows(m, 1, std::uint64_t{m} * n * k, [&](std::size_t i0,
+                                                 std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      double* ci = c + i * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        double acc = 0.0;
+        for (std::size_t p = 0; p < k; ++p) {
+          acc += a[p * m + i] * b[j * k + p];
+        }
+        ci[j] = alpha * acc + (beta == 0.0 ? 0.0 : beta * ci[j]);
+      }
     }
-  }
+  });
 }
 
 }  // namespace

@@ -33,8 +33,9 @@ namespace ranknet::tensor {
 /// The untransposed form (the only one on the decode path) runs the
 /// dispatched gemm_nn: the scalar reference loop, or the avx2 variant's
 /// register-tiled, column-panel-ordered kernel. The transposed forms are
-/// plain training-path loops. Every form splits the rows of C over OpenMP
-/// threads and keeps each element's sequential-k accumulation.
+/// plain training-path loops. Every form keeps each element's sequential-k
+/// accumulation; under a TrainingScope (row_split.hpp) large calls split
+/// the rows of C over the kernel pool, which leaves the bytes unchanged.
 void gemm(double alpha, ConstMatrixView a, bool trans_a, ConstMatrixView b,
           bool trans_b, double beta, MatrixView c);
 void gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,

@@ -25,14 +25,12 @@
 // r lanes, 1 <= r < kLanes).
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
+#include "tensor/row_split.hpp"
 
 namespace ranknet::tensor::detail {
 namespace {
@@ -148,33 +146,21 @@ void gemm_rows(const GemmArgs& g, std::size_t i0, std::size_t i1) {
   }
 }
 
-/// The whole GEMM. OpenMP splits the ceil(m / kRows) row blocks into one
-/// contiguous chunk per thread (static split, the remainder rows in the
-/// last chunk); each chunk runs its own panel loop.
+/// The whole GEMM. split_rows hands out whole row blocks, so only the last
+/// chunk runs a short tile; each chunk runs its own panel loop.
 template <class V>
 void gemm_nn_tiled(double alpha, const double* a, const double* b,
                    double beta, double* c, std::size_t m, std::size_t k,
                    std::size_t n) {
   const GemmArgs g{alpha, a, b, beta, c, k, n};
-  constexpr std::size_t MR = V::kRows;
-  const std::size_t blocks = (m + MR - 1) / MR;
-#pragma omp parallel
-  {
-    std::size_t threads = 1, t = 0;
-#if defined(_OPENMP)
-    threads = static_cast<std::size_t>(omp_get_num_threads());
-    t = static_cast<std::size_t>(omp_get_thread_num());
-#endif
-    const std::size_t i0 = std::min(m, blocks * t / threads * MR);
-    const std::size_t i1 = std::min(m, blocks * (t + 1) / threads * MR);
-    if (i0 < i1) {
-      if (alpha == 1.0) {
-        gemm_rows<V, true>(g, i0, i1);
-      } else {
-        gemm_rows<V, false>(g, i0, i1);
-      }
-    }
-  }
+  split_rows(m, V::kRows, std::uint64_t{m} * n * k,
+             [&](std::size_t i0, std::size_t i1) {
+               if (alpha == 1.0) {
+                 gemm_rows<V, true>(g, i0, i1);
+               } else {
+                 gemm_rows<V, false>(g, i0, i1);
+               }
+             });
 }
 
 }  // namespace

@@ -33,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "tensor/row_split.hpp"
 #include "tensor/simd_gemm.hpp"
 
 namespace ranknet::tensor::detail {
@@ -164,28 +165,29 @@ struct Ymm {
 /// deterministic within the variant.
 void gemv_n1(double alpha, const double* a, const double* b, double beta,
              double* c, std::size_t m, std::size_t k) {
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* ai = a + i * k;
-    __m256d acc = _mm256_setzero_pd();
-    std::size_t p = 0;
-    for (; p + 4 <= k; p += 4) {
-      acc = _mm256_fmadd_pd(_mm256_loadu_pd(ai + p), _mm256_loadu_pd(b + p),
-                            acc);
+  split_rows(m, 1, std::uint64_t{m} * k, [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      const double* ai = a + i * k;
+      __m256d acc = _mm256_setzero_pd();
+      std::size_t p = 0;
+      for (; p + 4 <= k; p += 4) {
+        acc = _mm256_fmadd_pd(_mm256_loadu_pd(ai + p),
+                              _mm256_loadu_pd(b + p), acc);
+      }
+      if (p < k) {
+        const __m256i mask = tail_mask(k - p);
+        acc = _mm256_fmadd_pd(_mm256_maskload_pd(ai + p, mask),
+                              _mm256_maskload_pd(b + p, mask), acc);
+      }
+      const __m128d lo = _mm256_castpd256_pd128(acc);
+      const __m128d hi = _mm256_extractf128_pd(acc, 1);
+      const __m128d s = _mm_add_pd(lo, hi);
+      const double dot =
+          _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
+      const double base = beta == 0.0 ? 0.0 : beta * c[i];
+      c[i] = base + alpha * dot;
     }
-    if (p < k) {
-      const __m256i mask = tail_mask(k - p);
-      acc = _mm256_fmadd_pd(_mm256_maskload_pd(ai + p, mask),
-                            _mm256_maskload_pd(b + p, mask), acc);
-    }
-    const __m128d lo = _mm256_castpd256_pd128(acc);
-    const __m128d hi = _mm256_extractf128_pd(acc, 1);
-    const __m128d s = _mm_add_pd(lo, hi);
-    const double dot =
-        _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
-    const double base = beta == 0.0 ? 0.0 : beta * c[i];
-    c[i] = base + alpha * dot;
-  }
+  });
 }
 
 /// The table's gemm_nn: the GEMV fast path for n == 1, otherwise the

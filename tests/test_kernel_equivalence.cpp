@@ -16,10 +16,13 @@
 // leaks a variant into unrelated suites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "core/parallel_engine.hpp"
@@ -28,10 +31,12 @@
 #include "obs/metrics.hpp"
 #include "simulator/season.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/row_split.hpp"
 #include "tensor/simd_kernels.hpp"
 #include "tensor/simd_kernels_detail.hpp"
 #include "tensor/workspace.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -94,6 +99,44 @@ std::vector<double> random_vec(std::size_t n, util::Rng& rng, double lo = -2.0,
   std::vector<double> v(n);
   for (auto& x : v) x = lo + (hi - lo) * rng.uniform();
   return v;
+}
+
+// ---- row splits (tensor/row_split.hpp) -----------------------------------
+
+/// Runs `gemm(c)` on a copy of `c_init` outside, then inside, a
+/// TrainingScope and memcmps the two: a row split never moves a byte.
+template <class Gemm>
+::testing::AssertionResult SplitBitIdentical(
+    const Gemm& gemm, const std::vector<double>& c_init) {
+  auto serial = c_init, split = c_init;
+  gemm(serial.data());
+  {
+    const tensor::TrainingScope scope;
+    gemm(split.data());
+  }
+  if (std::memcmp(serial.data(), split.data(),
+                  serial.size() * sizeof(double)) != 0) {
+    return ::testing::AssertionFailure() << "the row split moved output bytes";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Row counts from 1 to past the kernel pool's width in 12-row blocks (the
+/// taller GEMM tile), dense at first, then sparser.
+std::vector<std::size_t> split_sweep_rows() {
+  const std::size_t last = 12 * (util::ThreadPool::hardware_threads() + 1) + 1;
+  std::vector<std::size_t> rows;
+  for (std::size_t m = 1; m <= last; m += 1 + m / 8) rows.push_back(m);
+  return rows;
+}
+
+/// The sweep is only meaningful if the scope really splits here.
+void expect_scope_splits(std::size_t m, std::size_t grain,
+                         std::uint64_t work) {
+  if (util::ThreadPool::hardware_threads() == 1) return;
+  const tensor::TrainingScope scope;
+  EXPECT_GT(tensor::row_chunks(m, grain, work), 1u)
+      << "m=" << m << " grain=" << grain << " work=" << work;
 }
 
 // Cross-variant bounds. The avx2 GEMM keeps the scalar accumulation order
@@ -233,6 +276,24 @@ TEST_F(KernelVariants, GemmUlpEquivalenceOnRemainderShapes) {
       EXPECT_TRUE(UlpClose(c_scalar, c_avx2, kGemmUlp))
           << "gemm " << s.m << "x" << s.k << "x" << s.n << " alpha=" << alpha
           << " beta=" << beta;
+    }
+  }
+  // n == 1 under a TrainingScope: each row one chunk's worth of work, so
+  // the GEMV (and the scalar loop) split from m == 2 on.
+  const std::size_t k = tensor::kMinChunkWork;
+  expect_scope_splits(2, 1, 2 * k);
+  for (std::size_t m = 1; m <= util::ThreadPool::hardware_threads() + 1;
+       ++m) {
+    const auto a = random_vec(m * k, rng);
+    const auto b = random_vec(k, rng);
+    const auto c_init = random_vec(m, rng);
+    for (const tk::Variant v : {tk::Variant::kScalar, tk::Variant::kAvx2}) {
+      EXPECT_TRUE(SplitBitIdentical(
+          [&](double* c) {
+            tk::table(v).gemm_nn(0.5, a.data(), b.data(), 1.0, c, m, k, 1);
+          },
+          c_init))
+          << tk::variant_name(v) << " gemv m=" << m;
     }
   }
 }
@@ -464,7 +525,8 @@ using GemmFn = void (*)(double, const double*, const double*, double,
 /// Runs `fn` and the sequential-k reference over every tile-remainder
 /// shape (row remainders of both tile heights, 1/2-vector panels and
 /// masked column tails of both widths, k from 1 to the decode's 80) and
-/// memcmps every output element.
+/// memcmps every output element; then over split_sweep_rows() with a
+/// masked column tail, inside and outside a TrainingScope.
 void expect_gemm_matches_sequential_k(GemmFn fn, const char* name) {
   util::Rng rng(71);
   std::size_t checked = 0;
@@ -493,6 +555,29 @@ void expect_gemm_matches_sequential_k(GemmFn fn, const char* name) {
     }
   }
   EXPECT_EQ(checked, 25u * 11 * 4 * 3 * 2);
+
+  const std::size_t n = 161, k = tensor::kMinChunkWork / n + 1;
+  expect_scope_splits(25, 12, 25ull * n * k);
+  for (const std::size_t m : split_sweep_rows()) {
+    const auto a = random_vec(m * k, rng);
+    const auto b = random_vec(k * n, rng);
+    const auto c_init = random_vec(m * n, rng);
+    for (const auto& [alpha, beta] : {std::pair{1.0, 0.0}, {-0.7, 0.5}}) {
+      auto want = c_init;
+      gemm_sequential_k(alpha, a.data(), b.data(), beta, want.data(), m, k,
+                        n);
+      const auto run = [&](double* c) {
+        fn(alpha, a.data(), b.data(), beta, c, m, k, n);
+      };
+      auto got = c_init;
+      run(got.data());
+      EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                               want.size() * sizeof(double)))
+          << name << " m=" << m << " alpha=" << alpha;
+      EXPECT_TRUE(SplitBitIdentical(run, c_init))
+          << name << " m=" << m << " alpha=" << alpha;
+    }
+  }
 }
 
 TEST_F(KernelVariants, YmmGemmTileBitIdenticalToSequentialK) {
@@ -518,12 +603,74 @@ TEST_F(KernelVariants, Avx2TableGemmIsTheSequentialKTile) {
       const auto b = random_vec(k * n, rng);
       std::vector<double> want(m * n), got(m * n);
       gemm_sequential_k(1.0, a.data(), b.data(), 0.0, want.data(), m, k, n);
-      table_gemm(1.0, a.data(), b.data(), 0.0, got.data(), m, k, n);
+      const auto run = [&](double* c) {
+        table_gemm(1.0, a.data(), b.data(), 0.0, c, m, k, n);
+      };
+      run(got.data());
       EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
                                want.size() * sizeof(double)))
           << "m=" << m << " n=" << n;
+      EXPECT_TRUE(SplitBitIdentical(run, random_vec(m * n, rng)))
+          << "m=" << m << " n=" << n;
     }
   }
+}
+
+TEST_F(KernelVariants, GemmRowSplitBitIdenticalInEveryTransposeForm) {
+  // tensor::gemm as training calls it: the untransposed form through each
+  // variant's gemm_nn, the three transposed forms on their own loops.
+  const std::size_t k = 64, n = tensor::kMinChunkWork / k + 1;
+  expect_scope_splits(2, 1, 2ull * n * k);
+  util::Rng rng(73);
+  for (const tk::Variant v : {tk::Variant::kScalar, tk::Variant::kAvx2}) {
+    ASSERT_TRUE(tk::set_variant(v).ok());
+    for (const std::size_t m : split_sweep_rows()) {
+      for (const bool ta : {false, true}) {
+        for (const bool tb : {false, true}) {
+          const auto a = random_vec(m * k, rng);
+          const auto b = random_vec(k * n, rng);
+          const tensor::ConstMatrixView av(a.data(), ta ? k : m, ta ? m : k);
+          const tensor::ConstMatrixView bv(b.data(), tb ? n : k, tb ? k : n);
+          EXPECT_TRUE(SplitBitIdentical(
+              [&](double* c) {
+                tensor::gemm(-0.7, av, ta, bv, tb, 0.5,
+                             tensor::MatrixView(c, m, n));
+              },
+              random_vec(m * n, rng)))
+              << tk::variant_name(v) << " m=" << m << " trans_a=" << ta
+              << " trans_b=" << tb;
+        }
+      }
+    }
+  }
+}
+
+TEST(RowSplit, PoolWorkerNeverSplits) {
+  // The scope is thread-local: a util::ThreadPool worker running under a
+  // caller's scope runs every kernel call inline, and a scope it opens
+  // itself splits nothing while the caller holds the kernel pool.
+  const std::size_t m = 64;
+  const std::uint64_t work = m * tensor::kMinChunkWork;
+  const auto chunks_run = [&] {
+    std::mutex mu;
+    std::size_t chunks = 0;
+    tensor::split_rows(m, 1, work, [&](std::size_t, std::size_t) {
+      const std::lock_guard<std::mutex> lock(mu);
+      ++chunks;
+    });
+    return chunks;
+  };
+  const tensor::TrainingScope scope;
+  EXPECT_EQ(chunks_run(), std::min(util::ThreadPool::hardware_threads(), m));
+
+  util::ThreadPool pool(1);
+  EXPECT_EQ(pool.submit(chunks_run).get(), 1u);
+  EXPECT_EQ(pool.submit([&] {
+                  const tensor::TrainingScope inner;
+                  return chunks_run();
+                })
+                .get(),
+            1u);
 }
 
 TEST_F(KernelVariants, SessionBatchOneBitIdenticalToBatchRow) {

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -17,6 +16,7 @@
 #include "nn/serialize.hpp"
 #include "tensor/serialize.hpp"
 #include "util/stats.hpp"
+#include "scratch_path.hpp"
 
 namespace {
 
@@ -26,6 +26,7 @@ using nn::Dense;
 using nn::GaussianHead;
 using tensor::Matrix;
 using util::Rng;
+using test::ScratchPath;
 
 TEST(Adam, MinimizesQuadratic) {
   // One parameter, loss (w - 3)^2 per element.
@@ -150,7 +151,8 @@ TEST(Lstm, StatefulStepsEqualBatchForward) {
 TEST(Serialize, RoundTripRestoresParams) {
   Rng rng(6);
   Dense a(5, 3, rng), b(5, 3, rng);
-  const std::string path = "/tmp/ranknet_test_params.bin";
+  const ScratchPath scratch("test_params", ".bin");
+  const std::string& path = scratch.path;
   nn::save_params(path, a.params());
   // b starts different...
   bool same = true;
@@ -162,34 +164,34 @@ TEST(Serialize, RoundTripRestoresParams) {
   for (std::size_t i = 0; i < a.params().size(); ++i) {
     EXPECT_TRUE(a.params()[i]->value == b.params()[i]->value);
   }
-  std::filesystem::remove(path);
 }
 
 TEST(Serialize, RejectsWrongShape) {
   Rng rng(7);
   Dense a(5, 3, rng);
   Dense c(4, 3, rng);  // different input dim, same param names
-  const std::string path = "/tmp/ranknet_test_params2.bin";
+  const ScratchPath scratch("test_params2", ".bin");
+  const std::string& path = scratch.path;
   nn::save_params(path, a.params());
   EXPECT_THROW(nn::load_params(path, c.params()), std::runtime_error);
-  std::filesystem::remove(path);
 }
 
 TEST(Serialize, RejectsMissingFile) {
   Rng rng(8);
   Dense a(2, 2, rng);
-  EXPECT_THROW(nn::load_params("/tmp/definitely_missing_file.bin",
+  EXPECT_THROW(nn::load_params(test::scratch_path("missing", ".bin"),
                                a.params()),
                std::runtime_error);
   const auto s =
-      nn::try_load_params("/tmp/definitely_missing_file.bin", a.params());
+      nn::try_load_params(test::scratch_path("missing", ".bin"), a.params());
   EXPECT_EQ(s.code(), ranknet::util::StatusCode::kNotFound);
 }
 
 TEST(Serialize, BitFlipAnywhereIsRejectedAndLeavesParamsUntouched) {
   Rng rng(9);
   Dense a(4, 3, rng), b(4, 3, rng);
-  const std::string path = "/tmp/ranknet_test_bitflip.bin";
+  const ScratchPath scratch("test_bitflip", ".bin");
+  const std::string& path = scratch.path;
   nn::save_params(path, a.params());
 
   std::string bytes;
@@ -219,13 +221,13 @@ TEST(Serialize, BitFlipAnywhereIsRejectedAndLeavesParamsUntouched) {
         << "failed load mutated parameters (flip at " << pos << ")";
     EXPECT_THROW(nn::load_params(path, b.params()), std::runtime_error);
   }
-  std::filesystem::remove(path);
 }
 
 TEST(Serialize, TruncatedArtifactIsRejected) {
   Rng rng(10);
   Dense a(4, 3, rng);
-  const std::string path = "/tmp/ranknet_test_truncated.bin";
+  const ScratchPath scratch("test_truncated", ".bin");
+  const std::string& path = scratch.path;
   nn::save_params(path, a.params());
   std::string bytes;
   {
@@ -241,7 +243,6 @@ TEST(Serialize, TruncatedArtifactIsRejected) {
   const auto s = nn::try_load_params(path, a.params());
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), ranknet::util::StatusCode::kCorruptData);
-  std::filesystem::remove(path);
 }
 
 TEST(Serialize, LegacyV1ArtifactStillLoads) {
@@ -249,7 +250,8 @@ TEST(Serialize, LegacyV1ArtifactStillLoads) {
   // pre-v2 writer did: count, then name-length/name/matrix per parameter.
   Rng rng(11);
   Dense a(3, 2, rng), b(3, 2, rng);
-  const std::string path = "/tmp/ranknet_test_v1.bin";
+  const ScratchPath scratch("test_v1", ".bin");
+  const std::string& path = scratch.path;
   {
     std::ofstream out(path, std::ios::binary);
     const std::uint64_t magic_v1 = 0x524b4e45542d3031ULL;  // "RKNET-01"
@@ -267,23 +269,23 @@ TEST(Serialize, LegacyV1ArtifactStillLoads) {
   for (std::size_t i = 0; i < a.params().size(); ++i) {
     EXPECT_TRUE(a.params()[i]->value == b.params()[i]->value);
   }
-  std::filesystem::remove(path);
 }
 
 TEST(Serialize, SavedArtifactsUseTheV2ChecksummedFormat) {
   Rng rng(12);
   Dense a(2, 2, rng);
-  const std::string path = "/tmp/ranknet_test_v2magic.bin";
+  const ScratchPath scratch("test_v2magic", ".bin");
+  const std::string& path = scratch.path;
   nn::save_params(path, a.params());
   std::ifstream in(path, std::ios::binary);
   std::uint64_t magic = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   EXPECT_EQ(magic, 0x524b4e54763253ULL);  // v2 magic
-  std::filesystem::remove(path);
 }
 
 TEST(Serialize, GarbageFileIsStatusNotCrash) {
-  const std::string path = "/tmp/ranknet_test_garbage.bin";
+  const ScratchPath scratch("test_garbage", ".bin");
+  const std::string& path = scratch.path;
   {
     std::ofstream out(path, std::ios::binary);
     out << "this is not a model artifact at all";
@@ -293,7 +295,6 @@ TEST(Serialize, GarbageFileIsStatusNotCrash) {
   const auto s = nn::try_load_params(path, a.params());
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), ranknet::util::StatusCode::kCorruptData);
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -16,8 +16,6 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "core/online_gate.hpp"
 #include "core/online_trainer.hpp"
 #include "core/training.hpp"
@@ -27,11 +25,14 @@
 #include "serve/online_loop.hpp"
 #include "simulator/season.hpp"
 #include "util/string_util.hpp"
+#include "scratch_path.hpp"
 
 namespace {
 
 using namespace ranknet;
 using core::ChampionChallengerGate;
+using test::scratch_path;
+using test::ScratchPath;
 using core::OnlineGateConfig;
 using core::ShadowMetrics;
 using core::TraceEvent;
@@ -284,27 +285,6 @@ core::CandidateFitter fake_fitter(std::shared_ptr<FakeWorld> world) {
     return out;
   };
 }
-
-/// Per-process scratch path under /tmp: ctest runs this binary whole (the
-/// online suite) next to each of its cases on their own, so two processes
-/// must never share a path.
-std::string scratch_path(const std::string& name, const std::string& ext) {
-  return "/tmp/ranknet_" + name + "." + std::to_string(::getpid()) + ext;
-}
-
-/// A scratch_path (file or directory) removed with everything under it
-/// when it goes out of scope.
-struct ScratchPath {
-  explicit ScratchPath(const std::string& name, const std::string& ext = "")
-      : path(scratch_path(name, ext)) {}
-  ~ScratchPath() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-  ScratchPath(const ScratchPath&) = delete;
-  ScratchPath& operator=(const ScratchPath&) = delete;
-  const std::string path;
-};
 
 struct TrainerRig {
   // Unique per rig: two rigs of one test may be alive at once.

@@ -31,6 +31,7 @@
 #include "simulator/fault_injector.hpp"
 #include "simulator/season.hpp"
 #include "util/socket.hpp"
+#include "scratch_path.hpp"
 
 namespace {
 
@@ -283,14 +284,16 @@ TEST(AffineRankModel, IdentityCoefficientsReproduceCurRank) {
 }
 
 TEST(AffineRankModel, ArtifactRoundtripAndStagedCommitOnCorruption) {
-  const std::string path = "/tmp/ranknet_affine_rt.bin";
+  const test::ScratchPath scratch("affine_rt", ".bin");
+  const std::string& path = scratch.path;
   serve::AffineRankModel::save_artifact(path, 1.5, -2.0);
   serve::AffineRankModel model(1.0, 0.0);
   ASSERT_TRUE(model.load_artifact(path).ok());
   EXPECT_DOUBLE_EQ(model.scale(), 1.5);
   EXPECT_DOUBLE_EQ(model.offset(), -2.0);
   // Corrupt load leaves the previous coefficients untouched.
-  EXPECT_FALSE(model.load_artifact("/tmp/ranknet_affine_missing.bin").ok());
+  EXPECT_FALSE(
+      model.load_artifact(test::scratch_path("affine_missing", ".bin")).ok());
   EXPECT_DOUBLE_EQ(model.scale(), 1.5);
   EXPECT_DOUBLE_EQ(model.offset(), -2.0);
 }
